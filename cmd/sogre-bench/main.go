@@ -1,11 +1,11 @@
 // Command sogre-bench runs the reproducible benchmark suites and
 // writes the performance-trajectory artifacts tracked across PRs.
 //
-// The spmm suite (default) times the serial and sched-parallel CSR
-// kernels and the serial and parallel V:N:M/SPTC hybrid kernels over
-// seeded regime graphs, writing BENCH_spmm.json with ns/op, measured
-// GFLOP/s, effective FLOP-per-cycle under the calibrated cycle model,
-// and speedup versus the serial twin.
+// The spmm suite (default) times the CSR and V:N:M/SPTC hybrid
+// kernels on a pool of one and on the -workers pool over seeded regime
+// graphs, writing BENCH_spmm.json with ns/op, measured GFLOP/s,
+// effective FLOP-per-cycle under the calibrated cycle model, and
+// speedup versus the pool of one.
 //
 // The reorder suite times the parallel partitioned reordering engine
 // (core.ReorderLarge) at several worker counts, writing

@@ -163,7 +163,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sogre-spmm: %v\n", err)
 			os.Exit(1)
 		}
-		planner = &plan.Planner{Calib: cal, Cost: cm, Workers: pool.Workers()}
+		planner = &plan.Planner{Calib: cal, Cost: cm}
 		fmt.Printf("calibration: %s\n", cal)
 	}
 	op := plan.Operands{A: reordered, Comp: comp, Resid: resid}
@@ -174,13 +174,13 @@ func main() {
 		b := dense.NewMatrix(g.N(), h)
 		b.Randomize(1, *seed+int64(h))
 		baseStart := time.Now()
-		runKernel(func() { spmm.CSRPool(pool, a, b) })
+		runKernel(func() { spmm.CSR(pool, nil, a, b) })
 		baseWall := time.Since(baseStart)
 		baseCycles := cm.CSRSpMMCycles(a.NNZ(), a.N, h)
 		// The reordered side runs whichever dispatch -plan selected.
-		d := plan.Decision{Kernel: cycle.KernelHybridParallel, Workers: pool.Workers()}
+		d := plan.Decision{Kernel: cycle.KernelHybrid}
 		if *planMode == "csr" {
-			d.Kernel = cycle.KernelCSRParallel
+			d.Kernel = cycle.KernelCSR
 		}
 		if planner != nil {
 			d = planner.ChooseOperands(op, h)

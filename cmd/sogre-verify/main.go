@@ -29,6 +29,7 @@ import (
 	"repro/internal/distributed"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/sched"
 	"repro/internal/spmm"
 	"repro/internal/sptc"
 	"repro/internal/venom"
@@ -136,7 +137,7 @@ func checkPartitioned(seed int64) error {
 		return err
 	}
 	a := csr.FromGraph(g)
-	return check.Compare("partitioned-spmm", got, spmm.CSR(a, b), a, b, check.DefaultTol())
+	return check.Compare("partitioned-spmm", got, spmm.CSR(sched.Default(), nil, a, b), a, b, check.DefaultTol())
 }
 
 func checkWarp(seed int64) error {

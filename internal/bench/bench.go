@@ -1,6 +1,6 @@
 // Package bench is the reproducible SpMM benchmark harness behind
-// cmd/sogre-bench: it times every kernel pair (serial reference vs
-// sched-parallel) over seeded regime graphs and emits a
+// cmd/sogre-bench: it times every kernel on a pool of one and on the
+// parallel pool over seeded regime graphs and emits a
 // machine-readable suite (BENCH_spmm.json) so the performance
 // trajectory is tracked from PR 2 onward.
 //
@@ -76,8 +76,8 @@ type Config struct {
 // that keep a full run in seconds on a laptop core.
 func DefaultConfig() Config {
 	return Config{
-		Seed:    20250806,
-		Widths:  []int{64, 128},
+		Seed:   20250806,
+		Widths: []int{64, 128},
 		Graphs: []GraphSpec{
 			{Name: "er-8k", Family: "er", N: 8192, Degree: 8},
 			{Name: "powerlaw-8k", Family: "powerlaw", N: 8192, Degree: 8},
@@ -127,7 +127,7 @@ type Result struct {
 	// row by row.
 	GoMaxProcs int `json:"gomaxprocs"`
 	// Choice, on planner rows only, names the kernel class the planner
-	// dispatched (one of the four static kernels above).
+	// dispatched (csr or hybrid).
 	Choice string `json:"choice,omitempty"`
 
 	// FLOPs is the useful arithmetic of the product: 2 * nnz * h.
@@ -148,9 +148,9 @@ type Result struct {
 	NsPerOp float64 `json:"ns_per_op"`
 	// GFLOPS is the measured useful-arithmetic rate, flops/ns.
 	GFLOPS float64 `json:"gflops"`
-	// SpeedupVsSerial is serial-twin ns_per_op divided by this
-	// kernel's; 1.0 for the serial kernels themselves. Planner rows use
-	// the serial twin of the chosen class.
+	// SpeedupVsSerial is the same kernel's ns_per_op on a pool of one
+	// divided by this row's; 1.0 for the serial rows themselves.
+	// Planner rows use the serial row of the chosen class.
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
 	// VsBestStatic, on planner rows only, is the best static kernel's
 	// ns_per_op divided by the planned dispatch's: 1.0 means the
@@ -188,11 +188,11 @@ func time1(repeats int, fn func()) float64 {
 	return float64(best.Nanoseconds())
 }
 
-// Run executes the suite: for every (graph, width), the serial and
-// parallel CSR kernels, the serial and parallel V:N:M/SPTC hybrid
-// kernels, and a fifth planner row — the calibrated execution planner
-// choosing among those four at dispatch time — each timed
-// best-of-Repeats.
+// Run executes the suite: for every (graph, width), the CSR and the
+// V:N:M/SPTC hybrid kernels each on a pool of one (the "-serial" rows)
+// and on the Workers-sized pool (the "-parallel" rows), and a fifth
+// planner row — the calibrated execution planner choosing between the
+// two kernels at dispatch time — each timed best-of-Repeats.
 func Run(cfg Config) (*Suite, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -201,10 +201,8 @@ func Run(cfg Config) (*Suite, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pool := sched.New(workers)
-	if cfg.Obs != nil {
-		pool = pool.WithObs(cfg.Obs)
-	}
+	pool := sched.New(workers).WithObs(cfg.Obs)
+	serial := sched.Serial()
 	cm := sptc.DefaultCostModel()
 	cal := cfg.Calib
 	if cal == nil {
@@ -220,7 +218,7 @@ func Run(cfg Config) (*Suite, error) {
 			return nil, fmt.Errorf("bench: calibration: %w", err)
 		}
 	}
-	planner := &plan.Planner{Calib: cal, Cost: cm, Workers: workers}
+	planner := &plan.Planner{Calib: cal, Cost: cm}
 	procs := runtime.GOMAXPROCS(0)
 	s := &Suite{
 		Schema:     Schema,
@@ -272,17 +270,18 @@ func Run(cfg Config) (*Suite, error) {
 				return &s.Results[len(s.Results)-1]
 			}
 			csrC := cm.CSRSpMMCycles(a.NNZ(), a.N, h)
-			serialNs := time1(cfg.Repeats, func() { spmm.CSRSerial(a, b) })
+			serialNs := time1(cfg.Repeats, func() { spmm.CSR(serial, nil, a, b) })
 			add("csr-serial", 1, csrC, serialNs, serialNs)
-			parNs := time1(cfg.Repeats, func() { spmm.CSRPool(pool, a, b) })
+			parNs := time1(cfg.Repeats, func() { spmm.CSR(pool, nil, a, b) })
 			add("csr-parallel", workers, csrC, parNs, serialNs)
-			hybSerialNs := time1(cfg.Repeats, func() { spmm.HybridSerial(comp, resid, b) })
+			hybSerialNs := time1(cfg.Repeats, func() { spmm.Hybrid(serial, nil, nil, comp, resid, b) })
 			add("hybrid-serial", 1, hybridCycles, hybSerialNs, hybSerialNs)
-			hybParNs := time1(cfg.Repeats, func() { spmm.HybridPool(pool, comp, resid, b) })
+			hybParNs := time1(cfg.Repeats, func() { spmm.Hybrid(pool, nil, nil, comp, resid, b) })
 			add("hybrid-parallel", workers, hybridCycles, hybParNs, hybSerialNs)
 
-			// The planner row: choose among the four static classes from
-			// the calibrated table and time the planned dispatch itself.
+			// The planner row: choose between the two kernel classes from
+			// the calibrated table and time the planned dispatch itself
+			// on the parallel pool.
 			op := plan.Operands{A: a, Comp: comp, Resid: resid}
 			d := planner.ChooseOperands(op, h)
 			plannerNs := time1(cfg.Repeats, func() { plan.Execute(d, pool, op, b, &arena) })
@@ -296,7 +295,7 @@ func Run(cfg Config) (*Suite, error) {
 					bestStatic = ns
 				}
 			}
-			r := add("planner", d.Workers, cycle.ModelCycles(cm, d.Kernel, op.Profile(h, cm)), plannerNs, twinNs)
+			r := add("planner", workers, cycle.ModelCycles(cm, d.Kernel, op.Profile(h, cm)), plannerNs, twinNs)
 			r.Choice = string(d.Kernel)
 			r.PredictedNs = d.PredictedNs()
 			if plannerNs > 0 {

@@ -29,10 +29,8 @@ func tinyConfig() Config {
 		Calib: &plan.Calibration{
 			Seed: 7, Workers: 2,
 			Coeffs: []plan.Coefficient{
-				{Kernel: cycle.KernelCSRSerial, NsPerCycle: 0.6},
-				{Kernel: cycle.KernelCSRParallel, NsPerCycle: 0.25},
-				{Kernel: cycle.KernelHybridSerial, NsPerCycle: 1.8},
-				{Kernel: cycle.KernelHybridParallel, NsPerCycle: 0.7},
+				{Kernel: cycle.KernelCSR, NsPerCycle: 0.25},
+				{Kernel: cycle.KernelHybrid, NsPerCycle: 0.7},
 			},
 		},
 	}
@@ -99,9 +97,9 @@ func TestSuiteSchema(t *testing.T) {
 	if len(s.Results) != 10 {
 		t.Fatalf("got %d results, want 10", len(s.Results))
 	}
-	static := map[string]bool{
-		"csr-serial": true, "csr-parallel": true,
-		"hybrid-serial": true, "hybrid-parallel": true,
+	classes := map[string]bool{}
+	for _, k := range cycle.KernelClasses() {
+		classes[string(k)] = true
 	}
 	kernels := map[string]int{}
 	for _, r := range s.Results {
@@ -116,7 +114,7 @@ func TestSuiteSchema(t *testing.T) {
 			t.Fatalf("result %+v missing gomaxprocs", r)
 		}
 		if r.Kernel == "planner" {
-			if !static[r.Choice] {
+			if !classes[r.Choice] {
 				t.Fatalf("planner row chose unknown kernel %q", r.Choice)
 			}
 			if r.PredictedNs <= 0 || r.VsBestStatic <= 0 {

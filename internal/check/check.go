@@ -98,17 +98,17 @@ type KernelCase struct {
 func Kernels() []KernelCase {
 	return []KernelCase{
 		{Name: "csr-serial", Run: func(a *csr.Matrix, b *dense.Matrix, _ pattern.VNM) (*dense.Matrix, error) {
-			return spmm.CSRSerial(a, b), nil
+			return spmm.CSR(sched.Serial(), nil, a, b), nil
 		}},
 		{Name: "csr-parallel", Run: func(a *csr.Matrix, b *dense.Matrix, _ pattern.VNM) (*dense.Matrix, error) {
-			return spmm.CSR(a, b), nil
+			return spmm.CSR(sched.Default(), nil, a, b), nil
 		}},
 		{Name: "bsr", Binary: true, Run: func(a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error) {
 			bm, err := bsr.FromBitMatrix(a.ToBitMatrix(), p.M)
 			if err != nil {
 				return nil, err
 			}
-			return spmm.BSR(bm, b), nil
+			return spmm.BSR(sched.Default(), bm, b), nil
 		}},
 		{Name: "vnm-sptc-hybrid", Run: func(a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error) {
 			comp, resid, err := venom.SplitToConform(a, p)
@@ -118,20 +118,20 @@ func Kernels() []KernelCase {
 			if err := comp.ValidateMeta(); err != nil {
 				return nil, err
 			}
-			return spmm.Hybrid(comp, resid, b), nil
+			return spmm.Hybrid(sched.Default(), nil, nil, comp, resid, b), nil
 		}},
 		// Tiled entries pin the scheduler's edge cases inside the same
 		// matrix (and fuzz targets): a pathologically fine tiling on an
 		// odd worker count, and the hybrid on a two-worker pool.
 		{Name: "csr-tiled-fine", Run: func(a *csr.Matrix, b *dense.Matrix, _ pattern.VNM) (*dense.Matrix, error) {
-			return spmm.CSRPool(sched.NewWithTarget(3, 1), a, b), nil
+			return spmm.CSR(sched.NewWithTarget(3, 1), nil, a, b), nil
 		}},
 		{Name: "hybrid-tiled-w2", Run: func(a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error) {
 			comp, resid, err := venom.SplitToConform(a, p)
 			if err != nil {
 				return nil, err
 			}
-			return spmm.HybridPool(sched.New(2), comp, resid, b), nil
+			return spmm.Hybrid(sched.New(2), nil, nil, comp, resid, b), nil
 		}},
 	}
 }
@@ -144,14 +144,14 @@ func SpMMEquivalence(a *csr.Matrix, b *dense.Matrix, p pattern.VNM, tol Tol) err
 	if a.N != b.Rows {
 		return fmt.Errorf("check: operand shapes disagree: A is %dx%d, B has %d rows", a.N, a.N, b.Rows)
 	}
-	ref := spmm.Dense(a.ToDense(), b)
+	ref := dense.MatMul(a.ToDense(), b)
 	unit := unitWeights(a)
 	var refUnit *dense.Matrix
 	for _, kc := range Kernels() {
 		opA, opRef := a, ref
 		if kc.Binary {
 			if refUnit == nil {
-				refUnit = spmm.Dense(unit.ToDense(), b)
+				refUnit = dense.MatMul(unit.ToDense(), b)
 			}
 			opA, opRef = unit, refUnit
 		}

@@ -93,7 +93,7 @@ func FuzzSpMMEquivalence(f *testing.F) {
 
 // FuzzParallelSerialEquivalence drives arbitrary decoded operands
 // through every parallel kernel at several worker counts and tile
-// targets, asserting bit-identity with the serial twins — the
+// targets, asserting bit-identity with the serial references — the
 // scheduler's determinism contract under adversarial sparsity
 // patterns (empty rows, heavy rows, duplicates, explicit zeros). The
 // seed corpus reuses the regime generators: one seed per
@@ -239,17 +239,22 @@ func graphsEqual(a, b *graph.Graph) error {
 // gate relies on when two bench processes share one table file.
 func FuzzCalibrationParse(f *testing.F) {
 	f.Add("")
-	f.Add(plan.CalibSchema + "; csr-serial=0.5")
-	f.Add(plan.CalibSchema + "; seed=42; workers=4; target=1024; csr-serial=0.5; hybrid-parallel=0.08125")
-	f.Add(plan.CalibSchema + "; hybrid-serial=1.25; csr-parallel=0.17; seed=9")
-	f.Add(plan.CalibSchema + "; csr-serial=1; csr-serial=2") // duplicate kernel -> error
-	f.Add(plan.CalibSchema + "; warp-speed=1")               // unknown kernel -> error
-	f.Add(plan.CalibSchema + "; csr-serial=-1")              // non-positive coefficient -> error
-	f.Add("sogre-calib/v0; csr-serial=1")                    // wrong schema -> error
+	f.Add(plan.CalibSchema + "; csr=0.5")
+	f.Add(plan.CalibSchema + "; seed=42; workers=4; target=1024; csr=0.5; hybrid=0.08125")
+	f.Add(plan.CalibSchema + "; hybrid=1.25; csr=0.17; seed=9")
+	f.Add(plan.CalibSchema + "; csr=1; csr=2") // duplicate kernel -> error
+	f.Add(plan.CalibSchema + "; warp-speed=1") // unknown kernel -> error
+	f.Add(plan.CalibSchema + "; csr=-1")       // non-positive coefficient -> error
+	f.Add("sogre-calib/v0; csr=1")             // wrong schema -> error
+	// A superseded v1 table (serial/parallel classes) must be rejected.
+	f.Add("sogre-calib/v1; seed=9; csr-serial=0.5; csr-parallel=0.2; hybrid-serial=1.5; hybrid-parallel=0.7")
 	f.Fuzz(func(t *testing.T, s string) {
 		c, err := plan.ParseCalibration(s)
 		if err != nil {
 			return
+		}
+		if strings.HasPrefix(strings.TrimSpace(s), "sogre-calib/v1") {
+			t.Fatalf("v1 table %q accepted by the %s parser", s, plan.CalibSchema)
 		}
 		if c == nil {
 			if strings.TrimSpace(s) != "" {

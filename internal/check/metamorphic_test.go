@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/csr"
 	"repro/internal/pattern"
+	"repro/internal/sched"
 	"repro/internal/spmm"
 )
 
@@ -47,8 +48,8 @@ func TestMetamorphicPermInverseIsIdentity(t *testing.T) {
 				}
 			}
 			b := RandomDense(g.N(), 13, 1, 5)
-			c1 := spmm.CSR(csr.FromGraph(g), b)
-			c2 := spmm.CSR(csr.FromGraph(g2), b)
+			c1 := spmm.CSR(sched.Default(), nil, csr.FromGraph(g), b)
+			c2 := spmm.CSR(sched.Default(), nil, csr.FromGraph(g2), b)
 			if err := Compare("perm-roundtrip", c2, c1, csr.FromGraph(g), b, DefaultTol()); err != nil {
 				t.Fatal(err)
 			}
@@ -76,8 +77,8 @@ func TestMetamorphicPermEquivariance(t *testing.T) {
 		for i := 0; i < g.N(); i++ {
 			copy(pb.Row(i), b.Row(perm[i]))
 		}
-		got := spmm.CSR(pa, pb)
-		want := spmm.CSR(a, b)
+		got := spmm.CSR(sched.Default(), nil, pa, pb)
+		want := spmm.CSR(sched.Default(), nil, a, b)
 		// Undo the row permutation on the output before comparing.
 		unperm := got.Clone()
 		for i := 0; i < g.N(); i++ {

@@ -12,19 +12,21 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/sched"
 	"repro/internal/spmm"
+	"repro/internal/sptc"
 	"repro/internal/venom"
 )
 
-// This file is the scheduler's differential layer: every parallel
-// kernel paired with its serial twin under an *exact* oracle. The
-// tiled execution engine owes its callers bit-determinism (tiles own
-// disjoint output rectangles, each element accumulated in serial
-// operand order — DESIGN.md §7), so unlike the dense-reference matrix
-// in check.go, which tolerates reordered float32 summation, the twin
-// comparison tolerates nothing: a single flipped bit fails it.
+// This file is the scheduler's differential layer: every pooled kernel
+// paired with its single-goroutine reference (reference.go) under an
+// *exact* oracle. The tiled execution engine owes its callers
+// bit-determinism (tiles own disjoint output rectangles, each element
+// accumulated in operand order — DESIGN.md §7), so unlike the
+// dense-reference matrix in check.go, which tolerates reordered
+// float32 summation, the twin comparison tolerates nothing: a single
+// flipped bit fails it.
 
 // WorkerCounts returns the worker-count ladder the harness verifies
-// parallel kernels at — {1, 2, 4, NumCPU}, deduplicated and sorted.
+// kernels at — {1, 2, 4, NumCPU}, deduplicated and sorted.
 func WorkerCounts() []int {
 	set := map[int]bool{1: true, 2: true, 4: true, runtime.NumCPU(): true}
 	var out []int
@@ -40,7 +42,7 @@ func WorkerCounts() []int {
 // automatic target.
 func TileTargets() []int64 { return []int64{1, 16, 256, 0} }
 
-// TwinCase pairs a parallel kernel with the serial reference it must
+// TwinCase pairs a pooled kernel with the serial reference it must
 // match bit-for-bit.
 type TwinCase struct {
 	Name string
@@ -53,18 +55,29 @@ type TwinCase struct {
 	Parallel func(pool *sched.Pool, a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error)
 }
 
-// Twins returns the serial/parallel kernel pairs: CSR, the compressed
-// V:N:M kernel, the V:N:M/SPTC hybrid (compressed plus CSR residual),
-// binary BSR, and SpMV (results widened to an n-by-1 matrix).
+// hybridRefOf is the reference side of the split-based twins: the
+// hybrid reference over A's V:N:M split.
+func hybridRefOf(a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error) {
+	comp, resid, err := venom.SplitToConform(a, p)
+	if err != nil {
+		return nil, err
+	}
+	return hybridRef(comp, resid, b), nil
+}
+
+// Twins returns the kernel/reference pairs: CSR, the compressed V:N:M
+// kernel, the V:N:M/SPTC hybrid (compressed plus CSR residual), the
+// cusparseLt-style spmm.Plan executing the hybrid, binary BSR, and
+// SpMV (results widened to an n-by-1 matrix).
 func Twins() []TwinCase {
 	return []TwinCase{
 		{
 			Name: "csr",
 			Serial: func(a *csr.Matrix, b *dense.Matrix, _ pattern.VNM) (*dense.Matrix, error) {
-				return spmm.CSRSerial(a, b), nil
+				return csrRef(a, b), nil
 			},
 			Parallel: func(pool *sched.Pool, a *csr.Matrix, b *dense.Matrix, _ pattern.VNM) (*dense.Matrix, error) {
-				return spmm.CSRPool(pool, a, b), nil
+				return spmm.CSR(pool, nil, a, b), nil
 			},
 		},
 		{
@@ -74,31 +87,36 @@ func Twins() []TwinCase {
 				if err != nil {
 					return nil, err
 				}
-				return spmm.VNMSerial(comp, b), nil
+				return vnmRef(comp, b), nil
 			},
 			Parallel: func(pool *sched.Pool, a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error) {
 				comp, _, err := venom.SplitToConform(a, p)
 				if err != nil {
 					return nil, err
 				}
-				return spmm.VNMPool(pool, comp, b), nil
+				return spmm.VNM(pool, nil, comp, b), nil
 			},
 		},
 		{
-			Name: "vnm-sptc-hybrid",
-			Serial: func(a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error) {
-				comp, resid, err := venom.SplitToConform(a, p)
-				if err != nil {
-					return nil, err
-				}
-				return spmm.HybridSerial(comp, resid, b), nil
-			},
+			Name:   "vnm-sptc-hybrid",
+			Serial: hybridRefOf,
 			Parallel: func(pool *sched.Pool, a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error) {
 				comp, resid, err := venom.SplitToConform(a, p)
 				if err != nil {
 					return nil, err
 				}
-				return spmm.HybridPool(pool, comp, resid, b), nil
+				return spmm.Hybrid(pool, nil, nil, comp, resid, b), nil
+			},
+		},
+		{
+			Name:   "plan",
+			Serial: hybridRefOf,
+			Parallel: func(pool *sched.Pool, a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error) {
+				pl, err := spmm.NewPlan(pool, a, p, sptc.DefaultCostModel(), true)
+				if err != nil {
+					return nil, err
+				}
+				return pl.Execute(b)
 			},
 		},
 		{
@@ -109,23 +127,23 @@ func Twins() []TwinCase {
 				if err != nil {
 					return nil, err
 				}
-				return spmm.BSRSerial(bm, b), nil
+				return bsrRef(bm, b), nil
 			},
 			Parallel: func(pool *sched.Pool, a *csr.Matrix, b *dense.Matrix, p pattern.VNM) (*dense.Matrix, error) {
 				bm, err := bsr.FromBitMatrix(a.ToBitMatrix(), p.M)
 				if err != nil {
 					return nil, err
 				}
-				return spmm.BSRPool(pool, bm, b), nil
+				return spmm.BSR(pool, bm, b), nil
 			},
 		},
 		{
 			Name: "spmv",
 			Serial: func(a *csr.Matrix, b *dense.Matrix, _ pattern.VNM) (*dense.Matrix, error) {
-				return vecAsMatrix(spmm.SpMVSerial(a, firstColumn(b))), nil
+				return vecAsMatrix(spmvRef(a, firstColumn(b))), nil
 			},
 			Parallel: func(pool *sched.Pool, a *csr.Matrix, b *dense.Matrix, _ pattern.VNM) (*dense.Matrix, error) {
-				return vecAsMatrix(spmm.SpMVPool(pool, a, firstColumn(b))), nil
+				return vecAsMatrix(spmm.SpMV(pool, a, firstColumn(b))), nil
 			},
 		},
 	}
@@ -143,9 +161,9 @@ func vecAsMatrix(y []float32) *dense.Matrix {
 	return dense.FromData(len(y), 1, y)
 }
 
-// BitwiseError reports a parallel kernel that failed exact equality
-// with its serial twin — a determinism-contract violation, not a
-// rounding disagreement.
+// BitwiseError reports a kernel that failed exact equality with its
+// serial reference — a determinism-contract violation, not a rounding
+// disagreement.
 type BitwiseError struct {
 	Kernel   string
 	Workers  int
@@ -155,7 +173,7 @@ type BitwiseError struct {
 }
 
 func (e *BitwiseError) Error() string {
-	return fmt.Sprintf("check: parallel kernel %s (workers=%d, tile target=%d) is not bit-identical to its serial twin at (%d,%d): got %x want %x",
+	return fmt.Sprintf("check: parallel kernel %s (workers=%d, tile target=%d) is not bit-identical to its serial reference at (%d,%d): got %x want %x",
 		e.Kernel, e.Workers, e.Target, e.Row, e.Col,
 		math.Float32bits(e.Got), math.Float32bits(e.Ref))
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestParallelSerialEquivalenceRegimes is the scheduler's differential
-// matrix: every parallel kernel against its serial twin, bit-for-bit,
+// matrix: every kernel against its serial reference, bit-for-bit,
 // across the density/degree regimes and the {1, 2, 4, NumCPU} worker
 // ladder with swept tile-cost targets.
 func TestParallelSerialEquivalenceRegimes(t *testing.T) {
@@ -86,16 +86,16 @@ func TestBitwiseEqualDetectsFlip(t *testing.T) {
 }
 
 // TestMetamorphicWorkerCountInvariance: for a fixed operand the
-// parallel kernels are a constant function of worker count — every
-// count on the ladder produces the same bits as the serial twin, so in
+// kernels are a constant function of worker count — every count on the
+// ladder produces the same bits as the serial reference, so in
 // particular the same bits as each other.
 func TestMetamorphicWorkerCountInvariance(t *testing.T) {
 	rg := Regimes()[1]
 	a := rg.RandomCSR(240, 3, true)
 	b := RandomDense(a.N, 9, 1, 5)
-	ref := spmm.CSRSerial(a, b)
+	ref := csrRef(a, b)
 	for _, w := range WorkerCounts() {
-		got := spmm.CSRPool(sched.New(w), a, b)
+		got := spmm.CSR(sched.New(w), nil, a, b)
 		if err := BitwiseEqual("csr", w, 0, got, ref); err != nil {
 			t.Fatal(err)
 		}
@@ -111,23 +111,24 @@ func TestMetamorphicTileSizeInvariance(t *testing.T) {
 	rg := Regimes()[2]
 	a := rg.RandomCSR(150, 9, true)
 	b := RandomDense(a.N, 13, 1, 7)
-	ref := spmm.CSRSerial(a, b)
+	ref := csrRef(a, b)
 	for _, target := range []int64{1, 2, 7, 63, 1024, 1 << 30} {
-		got := spmm.CSRPool(sched.NewWithTarget(3, target), a, b)
+		got := spmm.CSR(sched.NewWithTarget(3, target), nil, a, b)
 		if err := BitwiseEqual("csr", 3, target, got, ref); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestTwinsCoverKernelMatrix: every serial kernel family in the
-// differential matrix has a parallel twin under exact verification.
+// TestTwinsCoverKernelMatrix: every kernel family in the differential
+// matrix, and the Plan API, has a serial reference under exact
+// verification.
 func TestTwinsCoverKernelMatrix(t *testing.T) {
 	names := map[string]bool{}
 	for _, tw := range Twins() {
 		names[tw.Name] = true
 	}
-	for _, want := range []string{"csr", "vnm", "vnm-sptc-hybrid", "bsr", "spmv"} {
+	for _, want := range []string{"csr", "vnm", "vnm-sptc-hybrid", "plan", "bsr", "spmv"} {
 		if !names[want] {
 			t.Fatalf("Twins() missing %q (have %v)", want, names)
 		}

@@ -27,16 +27,10 @@ import (
 // entry points, bypassing the planner entirely — the reference side of
 // the equivalence oracle.
 func runClass(k cycle.KernelClass, pool *sched.Pool, op plan.Operands, b *dense.Matrix) *dense.Matrix {
-	switch k {
-	case cycle.KernelCSRParallel:
-		return spmm.CSRPool(pool, op.A, b)
-	case cycle.KernelHybridSerial:
-		return spmm.HybridSerial(op.Comp, op.Resid, b)
-	case cycle.KernelHybridParallel:
-		return spmm.HybridPool(pool, op.Comp, op.Resid, b)
-	default:
-		return spmm.CSRSerial(op.A, b)
+	if k == cycle.KernelHybrid {
+		return spmm.Hybrid(pool, nil, nil, op.Comp, op.Resid, b)
 	}
+	return spmm.CSR(pool, nil, op.A, b)
 }
 
 // PlannerEquivalence asserts plan.Execute is bit-identical to direct
@@ -56,10 +50,10 @@ func PlannerEquivalence(a *csr.Matrix, b *dense.Matrix, p pattern.VNM, cal *plan
 	var arena plan.Arena
 	for _, w := range workers {
 		pool := sched.New(w)
-		pl := &plan.Planner{Calib: cal, Workers: w}
+		pl := &plan.Planner{Calib: cal}
 		decisions := []plan.Decision{pl.ChooseOperands(op, b.Cols)}
 		for _, k := range cycle.KernelClasses() {
-			decisions = append(decisions, plan.Decision{Kernel: k, Workers: w})
+			decisions = append(decisions, plan.Decision{Kernel: k})
 		}
 		for _, d := range decisions {
 			ref := runClass(d.Kernel, pool, op, b)
@@ -105,7 +99,7 @@ func PlannerRegret(a *csr.Matrix, b *dense.Matrix, p pattern.VNM, cal *plan.Cali
 	if repeats < 1 {
 		repeats = 3
 	}
-	pl := &plan.Planner{Calib: cal, Workers: workers}
+	pl := &plan.Planner{Calib: cal}
 	d := pl.ChooseOperands(op, b.Cols)
 	pool := sched.New(workers)
 	var arena plan.Arena

@@ -16,10 +16,8 @@ func plannerTable() *plan.Calibration {
 	return &plan.Calibration{
 		Seed: 7, Workers: 4, TileTarget: 256,
 		Coeffs: []plan.Coefficient{
-			{Kernel: cycle.KernelCSRSerial, NsPerCycle: 0.6},
-			{Kernel: cycle.KernelCSRParallel, NsPerCycle: 0.2},
-			{Kernel: cycle.KernelHybridSerial, NsPerCycle: 1.8},
-			{Kernel: cycle.KernelHybridParallel, NsPerCycle: 0.7},
+			{Kernel: cycle.KernelCSR, NsPerCycle: 0.2},
+			{Kernel: cycle.KernelHybrid, NsPerCycle: 0.7},
 		},
 	}
 }
@@ -90,7 +88,7 @@ func TestPlannerChoiceRelabelInvariance(t *testing.T) {
 	p := pattern.New(4, 2, 8)
 	block := 16 // lcm(V=4, M=8, FragRows=16)
 	cal := plannerTable()
-	pl := &plan.Planner{Calib: cal, Workers: 4}
+	pl := &plan.Planner{Calib: cal}
 	for _, rg := range Regimes() {
 		a := rg.RandomCSR(128, 31, true)
 		op, err := plan.Prepare(a, p)
@@ -129,7 +127,7 @@ func TestPlannerChoiceRelabelInvariance(t *testing.T) {
 // prediction ranking.
 func TestPlannerChoiceDeterministic(t *testing.T) {
 	p := pattern.New(4, 2, 8)
-	pl := &plan.Planner{Calib: plannerTable(), Workers: 4}
+	pl := &plan.Planner{Calib: plannerTable()}
 	for _, rg := range Regimes() {
 		a1 := rg.RandomCSR(96, 13, true)
 		a2 := rg.RandomCSR(96, 13, true)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/sched"
 	"repro/internal/spmm"
 )
 
@@ -121,7 +122,7 @@ func TestPartitionedSpMMMatchesDirect(t *testing.T) {
 			if len(results) < tc.g.N()/128 {
 				t.Errorf("only %d partitions", len(results))
 			}
-			want := spmm.CSR(csr.FromGraph(tc.g), b)
+			want := spmm.CSR(sched.Default(), nil, csr.FromGraph(tc.g), b)
 			if d := dense.MaxAbsDiff(want, got); d > 1e-3 {
 				t.Errorf("partitioned SpMM differs from direct by %v", d)
 			}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/sched"
 	"repro/internal/spmm"
 	"repro/internal/venom"
 )
@@ -117,10 +118,7 @@ func computePartition(g *graph.Graph, b *dense.Matrix, part []int, p pattern.VNM
 	for j := 0; j < len(part); j++ {
 		copy(localB.Row(j), b.Row(orig[res.Perm[j]]))
 	}
-	localC := spmm.VNM(comp, localB)
-	if resid.NNZ() > 0 {
-		localC.Add(spmm.CSR(resid, localB))
-	}
+	localC := spmm.Hybrid(sched.Default(), nil, nil, comp, resid, localB)
 	// Reorder back before accumulation (the paper's phrase): local row
 	// j lands on global row orig[res.Perm[j]].
 	rows := make([]int, len(part))

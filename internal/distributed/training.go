@@ -240,4 +240,3 @@ func propagateCSR(s Sample, x *dense.Matrix, cfg TrainSampledConfig, ledger *gnn
 	}
 	return h, nil
 }
-

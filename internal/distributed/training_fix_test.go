@@ -54,8 +54,8 @@ func TestSampledEvalChargedToLedger(t *testing.T) {
 
 // The factory-routed evaluation must be numerically identical to the
 // serial CSR reference it replaced: recompute the eval forward pass
-// with spmm.CSRSerial and the returned classifier, and require the
-// bitwise-same accuracy.
+// with spmm.CSR on a pool of one and the returned classifier, and
+// require the bitwise-same accuracy.
 func TestSampledEvalBitwiseMatchesSerialReference(t *testing.T) {
 	g, x, labels, test := sampledTrainingSetup()
 	cfg := TrainSampledConfig{
@@ -72,7 +72,7 @@ func TestSampledEvalBitwiseMatchesSerialReference(t *testing.T) {
 	full := csr.SymNormalized(g)
 	h := x
 	for i := 0; i < 2; i++ { // cfg.Hops defaulted to 2
-		h = spmm.CSRSerial(full, h)
+		h = spmm.CSR(sched.Serial(), nil, full, h)
 	}
 	logits := dense.MatMul(h, res.W)
 	logits.AddBias(res.B.Row(0))

@@ -19,10 +19,8 @@ func autoTable() *plan.Calibration {
 	return &plan.Calibration{
 		Seed: 3, Workers: 2,
 		Coeffs: []plan.Coefficient{
-			{Kernel: cycle.KernelCSRSerial, NsPerCycle: 0.5},
-			{Kernel: cycle.KernelCSRParallel, NsPerCycle: 0.3},
-			{Kernel: cycle.KernelHybridSerial, NsPerCycle: 2.0},
-			{Kernel: cycle.KernelHybridParallel, NsPerCycle: 1.2},
+			{Kernel: cycle.KernelCSR, NsPerCycle: 0.3},
+			{Kernel: cycle.KernelHybrid, NsPerCycle: 1.2},
 		},
 	}
 }

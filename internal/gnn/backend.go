@@ -153,13 +153,13 @@ type Factory struct {
 	// Pool is the scheduler pool aggregation kernels execute on; nil
 	// means the default GOMAXPROCS-sized pool. Because the tiled
 	// kernels are bit-deterministic, the pool choice never changes
-	// results — only wall time. sched.Serial() forces the serial twins
-	// (the convergence regression tests rely on this).
+	// results — only wall time. sched.Serial() runs every kernel
+	// inline on the caller, a pool of one (the convergence regression
+	// tests rely on this).
 	Pool *sched.Pool
 	// Calib is the measured coefficient table EngineAuto plans with; a
-	// nil table makes the planner fall back to the serial CSR
-	// reference on every dispatch (planning disabled, results
-	// unchanged).
+	// nil table makes the planner fall back to the CSR kernel on every
+	// dispatch (planning disabled, results unchanged).
 	Calib *plan.Calibration
 }
 
@@ -226,7 +226,7 @@ func (o *csrOperator) MulT(x *dense.Matrix) *dense.Matrix { return o.run(o.wt, x
 
 func (o *csrOperator) run(w *csr.Matrix, x *dense.Matrix) *dense.Matrix {
 	start := time.Now()
-	out := spmm.CSRPool(o.pool, w, x)
+	out := spmm.CSR(o.pool, nil, w, x)
 	cycles := o.cost.CSRSpMMCycles(w.NNZ(), w.N, x.Cols)
 	o.ledger.chargeAgg(cycles, time.Since(start))
 	o.ledger.Obs.Gauge("sptc/cycles/csr").Add(cycles)
@@ -277,7 +277,7 @@ func (o *sptcOperator) MulT(x *dense.Matrix) *dense.Matrix {
 
 func (o *sptcOperator) run(comp *venom.Matrix, res *csr.Matrix, x *dense.Matrix) *dense.Matrix {
 	start := time.Now()
-	out := spmm.HybridPool(o.pool, comp, res, x)
+	out := spmm.Hybrid(o.pool, nil, nil, comp, res, x)
 	detail := o.cost.VNMSpMMCyclesDetail(sptc.Stats(comp, o.cost), x.Cols)
 	cycles := detail.Total()
 	var residCycles float64
@@ -335,7 +335,7 @@ func newPlannedOperator(w *csr.Matrix, p pattern.VNM, cost sptc.CostModel, ledge
 	}
 	return &plannedOperator{
 		fwd: fwd, bwd: bwd,
-		planner: &plan.Planner{Calib: cal, Cost: cost, Workers: pool.Workers()},
+		planner: &plan.Planner{Calib: cal, Cost: cost},
 		cost:    cost, ledger: ledger, pool: pool, n: w.N,
 		fwdPlans: map[int]plannedDispatch{}, bwdPlans: map[int]plannedDispatch{},
 	}

@@ -1,6 +1,6 @@
 // Package plan is the cost-driven execution planner: at dispatch time
-// it picks the kernel class (CSR vs V:N:M/SPTC hybrid, serial vs
-// sched-parallel) and tile shape for one SpMM, by combining the
+// it picks the kernel class (CSR vs V:N:M/SPTC hybrid) and tile shape
+// for one SpMM, by combining the
 // hardware-independent cycle model (internal/predictor/cycle)
 // with a one-shot *measured* calibration of this machine — per-kernel
 // ns-per-model-cycle coefficients probed on small seeded matrices.
@@ -18,6 +18,12 @@
 // exactly, so a planned run replays byte-identically from a pinned
 // table — planner decisions are pure functions of (profile, table),
 // enforced by the internal/check planner oracles.
+//
+// There is no serial/parallel axis: every class runs on the pool the
+// dispatch is given, and serial is a pool of one. An axis would be
+// degenerate anyway — a class and its pool-of-one twin cost identical
+// model cycles, so choosing between them would compare two constants
+// and never depend on the operand.
 package plan
 
 import (
@@ -31,8 +37,10 @@ import (
 )
 
 // CalibSchema identifies the calibration-table text format; bump on
-// breaking changes so pinned tables cannot silently misparse.
-const CalibSchema = "sogre-calib/v1"
+// breaking changes so pinned tables cannot silently misparse. v2 has
+// one coefficient per format (csr, hybrid); v1 tables, which split
+// each format into serial and parallel classes, are rejected.
+const CalibSchema = "sogre-calib/v2"
 
 // Coefficient is one kernel class's measured cost rate: nanoseconds of
 // wall clock per modeled cycle on the probe workload.
@@ -43,8 +51,8 @@ type Coefficient struct {
 
 // Calibration is the measured half of the planner's cost estimate: the
 // probe provenance (seed, worker count) plus one coefficient per
-// kernel class, and the autotuned tile-cost target for the parallel
-// classes (0 = pool automatic).
+// kernel class, and the autotuned tile-cost target (0 = pool
+// automatic).
 type Calibration struct {
 	Seed       int64
 	Workers    int
@@ -105,12 +113,12 @@ func knownKernel(s string) bool {
 // followed in any order by
 //
 //	seed=<int>            probe seed
-//	workers=<int>         pool size the parallel classes were probed at
+//	workers=<int>         pool size the classes were probed at
 //	target=<int>          autotuned tile-cost target (0 = automatic)
 //	<kernel>=<float>      ns-per-model-cycle coefficient, one per class
 //
-// Kernel names are the internal/predictor classes (csr-serial,
-// csr-parallel, hybrid-serial, hybrid-parallel). Coefficients must be
+// Kernel names are the internal/predictor classes (csr, hybrid).
+// Coefficients must be
 // positive and finite; duplicate clauses are rejected. An empty string
 // yields a nil Calibration (planning disabled).
 func ParseCalibration(s string) (*Calibration, error) {

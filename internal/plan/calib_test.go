@@ -13,10 +13,8 @@ func sampleCalib() *Calibration {
 		Workers:    4,
 		TileTarget: 1024,
 		Coeffs: []Coefficient{
-			{Kernel: cycle.KernelHybridSerial, NsPerCycle: 0.25},
-			{Kernel: cycle.KernelCSRSerial, NsPerCycle: 0.5},
-			{Kernel: cycle.KernelCSRParallel, NsPerCycle: 0.17},
-			{Kernel: cycle.KernelHybridParallel, NsPerCycle: 0.08125},
+			{Kernel: cycle.KernelHybrid, NsPerCycle: 0.08125},
+			{Kernel: cycle.KernelCSR, NsPerCycle: 0.17},
 		},
 	}
 }
@@ -59,21 +57,23 @@ func TestCalibrationRoundTrip(t *testing.T) {
 // never panics, and never half-parsed tables.
 func TestCalibrationParseRejects(t *testing.T) {
 	bad := []string{
-		"bogus/v9; csr-serial=1",                       // wrong schema
-		CalibSchema,                                    // no coefficients
-		CalibSchema + "; seed=abc; csr-serial=1",       // bad seed
-		CalibSchema + "; workers=-2; csr-serial=1",     // negative workers
-		CalibSchema + "; target=-1; csr-serial=1",      // negative target
-		CalibSchema + "; csr-serial=0",                 // non-positive coefficient
-		CalibSchema + "; csr-serial=-3",                // negative coefficient
-		CalibSchema + "; csr-serial=NaN",               // NaN coefficient
-		CalibSchema + "; csr-serial=+Inf",              // infinite coefficient
-		CalibSchema + "; csr-serial=1; csr-serial=2",   // duplicate kernel
-		CalibSchema + "; seed=1; seed=2; csr-serial=1", // duplicate seed
-		CalibSchema + "; warp-speed=1",                 // unknown kernel
-		CalibSchema + "; csr-serial",                   // no '='
-		";",                                            // separators but no clauses
-		"; \n ;",                                       // separators but no clauses
+		"bogus/v9; csr=1", // wrong schema
+		"sogre-calib/v1; csr-serial=0.5; csr-parallel=1", // superseded v1 table
+		CalibSchema,                             // no coefficients
+		CalibSchema + "; seed=abc; csr=1",       // bad seed
+		CalibSchema + "; workers=-2; csr=1",     // negative workers
+		CalibSchema + "; target=-1; csr=1",      // negative target
+		CalibSchema + "; csr=0",                 // non-positive coefficient
+		CalibSchema + "; csr=-3",                // negative coefficient
+		CalibSchema + "; csr=NaN",               // NaN coefficient
+		CalibSchema + "; csr=+Inf",              // infinite coefficient
+		CalibSchema + "; csr=1; csr=2",          // duplicate kernel
+		CalibSchema + "; seed=1; seed=2; csr=1", // duplicate seed
+		CalibSchema + "; warp-speed=1",          // unknown kernel
+		CalibSchema + "; csr-serial=1",          // v1 class name
+		CalibSchema + "; csr",                   // no '='
+		";",                                     // separators but no clauses
+		"; \n ;",                                // separators but no clauses
 	}
 	for _, s := range bad {
 		if c, err := ParseCalibration(s); err == nil {
@@ -89,11 +89,11 @@ func TestCalibrationParseRejects(t *testing.T) {
 // TestCalibrationParseOrderInsensitive: clause order does not matter;
 // the canonical rendering is the same either way.
 func TestCalibrationParseOrderInsensitive(t *testing.T) {
-	a, err := ParseCalibration(CalibSchema + "; csr-serial=0.5; seed=9; csr-parallel=0.25")
+	a, err := ParseCalibration(CalibSchema + "; csr=0.5; seed=9; hybrid=0.25")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParseCalibration(CalibSchema + "; seed=9; csr-parallel=0.25; csr-serial=0.5")
+	b, err := ParseCalibration(CalibSchema + "; seed=9; hybrid=0.25; csr=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}

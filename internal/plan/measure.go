@@ -20,8 +20,7 @@ import (
 type MeasureConfig struct {
 	// Seed feeds the probe operand generators.
 	Seed int64
-	// Workers sizes the pool the parallel classes are probed on;
-	// 0 = GOMAXPROCS.
+	// Workers sizes the pool the classes are probed on; 0 = GOMAXPROCS.
 	Workers int
 	// Pattern is the V:N:M format the hybrid probe splits to.
 	Pattern pattern.VNM
@@ -38,8 +37,8 @@ type MeasureConfig struct {
 	// sptc.DefaultCostModel()).
 	Cost sptc.CostModel
 	// Autotune, when true, additionally sweeps sched.TargetCandidates
-	// on the parallel CSR probe and records the winning tile-cost
-	// target in the table.
+	// on the CSR probe and records the winning tile-cost target in the
+	// table.
 	Autotune bool
 }
 
@@ -106,7 +105,7 @@ func Measure(cfg MeasureConfig) (*Calibration, error) {
 	if cfg.Autotune {
 		cal.TileTarget = sched.Autotune(
 			sched.TargetCandidates(int64(a.NNZ()), cfg.Workers), cfg.Repeats,
-			func(target int64) { spmm.CSRPool(pool.WithTarget(target), a, b) })
+			func(target int64) { spmm.CSR(pool.WithTarget(target), nil, a, b) })
 		pool = pool.WithTarget(cal.TileTarget)
 	}
 
@@ -114,10 +113,8 @@ func Measure(cfg MeasureConfig) (*Calibration, error) {
 	c := arena.Matrix(a.N, cfg.ProbeH)
 	s := scratch.Matrix(a.N, cfg.ProbeH)
 	runs := map[cycle.KernelClass]func(){
-		cycle.KernelCSRSerial:      func() { spmm.CSRSerialInto(c, a, b) },
-		cycle.KernelCSRParallel:    func() { spmm.CSRPoolInto(pool, c, a, b) },
-		cycle.KernelHybridSerial:   func() { spmm.HybridSerialInto(c, s, comp, resid, b) },
-		cycle.KernelHybridParallel: func() { spmm.HybridPoolInto(pool, c, s, comp, resid, b) },
+		cycle.KernelCSR:    func() { spmm.CSR(pool, c, a, b) },
+		cycle.KernelHybrid: func() { spmm.Hybrid(pool, c, s, comp, resid, b) },
 	}
 	for _, k := range cycle.KernelClasses() {
 		cycles := cycle.ModelCycles(cfg.Cost, k, prof)

@@ -17,7 +17,7 @@ import (
 
 // Operands bundles one SpMM dispatch's sparse operands: the CSR matrix
 // plus (when a split exists) the V:N:M compressed half and CSR
-// residual the hybrid classes consume.
+// residual the hybrid class consumes.
 type Operands struct {
 	A     *csr.Matrix
 	Comp  *venom.Matrix
@@ -28,7 +28,7 @@ type Operands struct {
 // at the given pattern, with the CSR halves compacted into flat
 // exact-capacity storage (csr.Compact) so planned dispatches walk
 // densely packed sparse metadata. A split failure (malformed pattern)
-// is an error; callers that only want the CSR classes can construct
+// is an error; callers that only want the CSR class can construct
 // Operands{A: a} directly.
 func Prepare(a *csr.Matrix, p pattern.VNM) (Operands, error) {
 	comp, resid, err := venom.SplitToConform(a, p)
@@ -54,11 +54,8 @@ type Prediction struct {
 type Decision struct {
 	// Kernel is the chosen class.
 	Kernel cycle.KernelClass
-	// Workers is the pool size the choice assumed (1 for the serial
-	// classes).
-	Workers int
-	// TileTarget is the calibrated tile-cost target the parallel
-	// classes should run with; 0 = pool automatic.
+	// TileTarget is the calibrated tile-cost target the kernel should
+	// run with; 0 = pool automatic.
 	TileTarget int64
 	// Predictions holds every eligible class's predicted ns, sorted
 	// fastest first (ties broken by kernel name, so the ordering — and
@@ -76,18 +73,13 @@ func (d Decision) PredictedNs() float64 {
 
 // Planner ranks kernel classes by predicted wall time: model cycles
 // (cycle.ModelCycles) times the measured ns-per-cycle coefficient
-// (Calibration). Decisions are pure functions of (profile, table,
-// workers): no timing happens at dispatch.
+// (Calibration). Decisions are pure functions of (profile, table): no
+// timing happens at dispatch.
 type Planner struct {
 	// Calib is the measured coefficient table; required.
 	Calib *Calibration
 	// Cost is the cycle model (zero value = sptc.DefaultCostModel()).
 	Cost sptc.CostModel
-	// Workers is the pool size parallel classes would run on; values
-	// below 2 exclude the parallel classes from ranking (a 1-worker
-	// pool runs kernels inline, so the serial twin always wins by the
-	// pool's own overhead).
-	Workers int
 }
 
 // cost returns the planner's cycle model, defaulting when unset.
@@ -98,23 +90,12 @@ func (pl *Planner) cost() sptc.CostModel {
 	return pl.Cost
 }
 
-// eligible reports whether kernel class k can run profile p on this
-// planner's pool.
-func (pl *Planner) eligible(k cycle.KernelClass, p cycle.OpProfile) bool {
-	if k.IsHybrid() && !p.HasSplit {
-		return false
-	}
-	if k.IsParallel() && pl.Workers < 2 {
-		return false
-	}
-	return true
-}
-
 // PredictNs returns the predicted wall time of kernel class k on
 // profile p: model cycles x calibrated ns/cycle. Returns +Inf when the
-// class is ineligible or the table has no coefficient for it.
+// table has no coefficient for the class or the profile cannot run it
+// (the hybrid class without a split).
 func (pl *Planner) PredictNs(k cycle.KernelClass, p cycle.OpProfile) float64 {
-	if pl.Calib == nil || !pl.eligible(k, p) {
+	if pl.Calib == nil {
 		return math.Inf(1)
 	}
 	coeff, ok := pl.Calib.NsPerCycle(k)
@@ -129,11 +110,11 @@ func (pl *Planner) PredictNs(k cycle.KernelClass, p cycle.OpProfile) float64 {
 }
 
 // Choose ranks every eligible kernel class on profile p and returns
-// the decision. Deterministic: same profile, table and worker count
-// always yield the same choice (ties break toward the
-// lexicographically smaller kernel name).
+// the decision. Deterministic: same profile and table always yield the
+// same choice (ties break toward the lexicographically smaller kernel
+// name).
 func (pl *Planner) Choose(p cycle.OpProfile) Decision {
-	d := Decision{Workers: 1}
+	var d Decision
 	if pl.Calib != nil {
 		d.TileTarget = pl.Calib.TileTarget
 	}
@@ -151,15 +132,12 @@ func (pl *Planner) Choose(p cycle.OpProfile) Decision {
 		return d.Predictions[i].Kernel < d.Predictions[j].Kernel
 	})
 	if len(d.Predictions) == 0 {
-		// Nothing calibrated: fall back to the serial CSR reference,
-		// which every operand supports.
-		d.Kernel = cycle.KernelCSRSerial
+		// Nothing calibrated: fall back to CSR, which every operand
+		// supports.
+		d.Kernel = cycle.KernelCSR
 		return d
 	}
 	d.Kernel = d.Predictions[0].Kernel
-	if d.Kernel.IsParallel() {
-		d.Workers = pl.Workers
-	}
 	return d
 }
 
@@ -169,8 +147,8 @@ func (pl *Planner) ChooseOperands(op Operands, h int) Decision {
 	return pl.Choose(op.Profile(h, pl.cost()))
 }
 
-// Execute runs the decided kernel on the operands. pool sizes the
-// parallel classes (the decision's TileTarget is applied to it);
+// Execute runs the decided kernel on the operands. pool (nil = the
+// default pool) runs it, with the decision's TileTarget applied;
 // arena, when non-nil, supplies the output and residual-scratch
 // storage so repeated planned dispatches allocate nothing. The result
 // is bitwise identical to invoking the chosen kernel directly — the
@@ -186,28 +164,14 @@ func Execute(d Decision, pool *sched.Pool, op Operands, b *dense.Matrix, arena *
 	var c, scratch *dense.Matrix
 	if arena != nil {
 		c = arena.out.Matrix(op.A.N, b.Cols)
-	} else {
-		c = dense.NewMatrix(op.A.N, b.Cols)
 	}
-	needScratch := d.Kernel.IsHybrid() && op.Resid != nil && op.Resid.NNZ() > 0
-	if needScratch {
-		if arena != nil {
-			scratch = arena.scratch.Matrix(op.Resid.N, b.Cols)
-		} else {
-			scratch = dense.NewMatrix(op.Resid.N, b.Cols)
-		}
+	if !d.Kernel.IsHybrid() {
+		return spmm.CSR(pool, c, op.A, b)
 	}
-	switch d.Kernel {
-	case cycle.KernelCSRParallel:
-		spmm.CSRPoolInto(pool, c, op.A, b)
-	case cycle.KernelHybridSerial:
-		spmm.HybridSerialInto(c, scratch, op.Comp, op.Resid, b)
-	case cycle.KernelHybridParallel:
-		spmm.HybridPoolInto(pool, c, scratch, op.Comp, op.Resid, b)
-	default:
-		spmm.CSRSerialInto(c, op.A, b)
+	if arena != nil && op.Resid != nil && op.Resid.NNZ() > 0 {
+		scratch = arena.scratch.Matrix(op.Resid.N, b.Cols)
 	}
-	return c
+	return spmm.Hybrid(pool, c, scratch, op.Comp, op.Resid, b)
 }
 
 // Arena holds the reusable output and scratch storage of a planned

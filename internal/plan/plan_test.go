@@ -14,17 +14,14 @@ import (
 )
 
 // cpuCalib is a fixed table shaped like a real CPU measurement: the
-// hybrid classes pay ~3x more ns per modeled cycle (no sparse tensor
-// cores), the parallel classes run cheaper per cycle than their serial
-// twins (as they would on a multi-core probe).
+// hybrid class pays ~3.5x more ns per modeled cycle (no sparse tensor
+// cores).
 func cpuCalib() *Calibration {
 	return &Calibration{
 		Seed: 1, Workers: 4, TileTarget: 512,
 		Coeffs: []Coefficient{
-			{Kernel: cycle.KernelCSRSerial, NsPerCycle: 0.60},
-			{Kernel: cycle.KernelCSRParallel, NsPerCycle: 0.20},
-			{Kernel: cycle.KernelHybridSerial, NsPerCycle: 1.80},
-			{Kernel: cycle.KernelHybridParallel, NsPerCycle: 0.70},
+			{Kernel: cycle.KernelCSR, NsPerCycle: 0.20},
+			{Kernel: cycle.KernelHybrid, NsPerCycle: 0.70},
 		},
 	}
 }
@@ -47,15 +44,15 @@ func testOperands(t *testing.T, family string, n int, seed int64) Operands {
 // calibrated wall-time ordering (not the raw cycle-model ordering).
 func TestChooseDeterministicAndCalibrated(t *testing.T) {
 	op := testOperands(t, "er", 1024, 3)
-	pl := &Planner{Calib: cpuCalib(), Workers: 4}
+	pl := &Planner{Calib: cpuCalib()}
 	prof := op.Profile(64, pl.cost())
 	d1 := pl.Choose(prof)
 	d2 := pl.Choose(prof)
-	if d1.Kernel != d2.Kernel || d1.TileTarget != d2.TileTarget || d1.Workers != d2.Workers {
+	if d1.Kernel != d2.Kernel || d1.TileTarget != d2.TileTarget {
 		t.Fatalf("same profile, different decisions: %+v vs %+v", d1, d2)
 	}
-	if len(d1.Predictions) != 4 {
-		t.Fatalf("want all 4 classes ranked, got %+v", d1.Predictions)
+	if len(d1.Predictions) != 2 {
+		t.Fatalf("want both classes ranked, got %+v", d1.Predictions)
 	}
 	for i := 1; i < len(d1.Predictions); i++ {
 		if d1.Predictions[i-1].Ns > d1.Predictions[i].Ns {
@@ -63,10 +60,10 @@ func TestChooseDeterministicAndCalibrated(t *testing.T) {
 		}
 	}
 	// On the er regime the cycle model prefers hybrid (the er-8k
-	// inversion); the calibrated table must flip that to a CSR class.
+	// inversion); the calibrated table must flip that to CSR.
 	cm := pl.cost()
-	if cycle.ModelCycles(cm, cycle.KernelHybridSerial, prof) >=
-		cycle.ModelCycles(cm, cycle.KernelCSRSerial, prof) {
+	if cycle.ModelCycles(cm, cycle.KernelHybrid, prof) >=
+		cycle.ModelCycles(cm, cycle.KernelCSR, prof) {
 		t.Fatal("test premise broken: cycle model no longer prefers hybrid on er")
 	}
 	if d1.Kernel.IsHybrid() {
@@ -77,31 +74,6 @@ func TestChooseDeterministicAndCalibrated(t *testing.T) {
 	}
 }
 
-// TestChooseRespectsWorkerCount: a 1-worker planner excludes the
-// parallel classes; a 4-worker planner with a parallel-favoring table
-// picks one.
-func TestChooseRespectsWorkerCount(t *testing.T) {
-	op := testOperands(t, "er", 512, 5)
-	serial := &Planner{Calib: cpuCalib(), Workers: 1}
-	d := serial.Choose(op.Profile(32, serial.cost()))
-	if d.Kernel.IsParallel() {
-		t.Fatalf("1-worker planner chose parallel class %s", d.Kernel)
-	}
-	for _, p := range d.Predictions {
-		if p.Kernel.IsParallel() {
-			t.Fatalf("parallel class %s ranked on a 1-worker planner", p.Kernel)
-		}
-	}
-	par := &Planner{Calib: cpuCalib(), Workers: 4}
-	dp := par.Choose(op.Profile(32, par.cost()))
-	if !dp.Kernel.IsParallel() {
-		t.Fatalf("4-worker planner with parallel-favoring table chose %s (%+v)", dp.Kernel, dp.Predictions)
-	}
-	if dp.Workers != 4 {
-		t.Fatalf("parallel decision carries workers %d, want 4", dp.Workers)
-	}
-}
-
 // TestChooseWithoutSplit: CSR-only operands never plan a hybrid class.
 func TestChooseWithoutSplit(t *testing.T) {
 	g, err := graph.GenerateByName("er", 256, 9)
@@ -109,23 +81,23 @@ func TestChooseWithoutSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := Operands{A: csr.FromGraph(g)}
-	pl := &Planner{Calib: cpuCalib(), Workers: 4}
+	pl := &Planner{Calib: cpuCalib()}
 	d := pl.Choose(op.Profile(16, pl.cost()))
 	if d.Kernel.IsHybrid() {
 		t.Fatalf("hybrid class %s chosen without a split", d.Kernel)
 	}
-	if len(d.Predictions) != 2 {
-		t.Fatalf("want only the 2 CSR classes ranked, got %+v", d.Predictions)
+	if len(d.Predictions) != 1 {
+		t.Fatalf("want only the CSR class ranked, got %+v", d.Predictions)
 	}
 }
 
-// TestChooseEmptyTableFallsBack: a nil table degrades to the serial
-// CSR reference instead of failing.
+// TestChooseEmptyTableFallsBack: a nil table degrades to the CSR
+// kernel instead of failing.
 func TestChooseEmptyTableFallsBack(t *testing.T) {
 	op := testOperands(t, "ba", 256, 2)
-	pl := &Planner{Workers: 4}
+	pl := &Planner{}
 	d := pl.Choose(op.Profile(16, pl.cost()))
-	if d.Kernel != cycle.KernelCSRSerial || len(d.Predictions) != 0 {
+	if d.Kernel != cycle.KernelCSR || len(d.Predictions) != 0 {
 		t.Fatalf("uncalibrated fallback: %+v", d)
 	}
 	if !math.IsInf(d.PredictedNs(), 1) {
@@ -141,14 +113,12 @@ func TestExecuteMatchesDirectKernels(t *testing.T) {
 	b.Randomize(1, 13)
 	pool := sched.New(2)
 	refs := map[cycle.KernelClass]*dense.Matrix{
-		cycle.KernelCSRSerial:      spmm.CSRSerial(op.A, b),
-		cycle.KernelCSRParallel:    spmm.CSRPool(pool, op.A, b),
-		cycle.KernelHybridSerial:   spmm.HybridSerial(op.Comp, op.Resid, b),
-		cycle.KernelHybridParallel: spmm.HybridPool(pool, op.Comp, op.Resid, b),
+		cycle.KernelCSR:    spmm.CSR(pool, nil, op.A, b),
+		cycle.KernelHybrid: spmm.Hybrid(pool, nil, nil, op.Comp, op.Resid, b),
 	}
 	var arena Arena
 	for _, k := range cycle.KernelClasses() {
-		d := Decision{Kernel: k, Workers: 2}
+		d := Decision{Kernel: k}
 		for name, got := range map[string]*dense.Matrix{
 			"heap":  Execute(d, pool, op, b, nil),
 			"arena": Execute(d, pool, op, b, &arena),
@@ -184,8 +154,8 @@ func TestMeasureProducesUsableTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cal.Coeffs) != 4 {
-		t.Fatalf("calibration has %d coefficients, want 4: %+v", len(cal.Coeffs), cal)
+	if len(cal.Coeffs) != 2 {
+		t.Fatalf("calibration has %d coefficients, want 2: %+v", len(cal.Coeffs), cal)
 	}
 	for _, co := range cal.Coeffs {
 		if co.NsPerCycle <= 0 || math.IsInf(co.NsPerCycle, 0) || math.IsNaN(co.NsPerCycle) {
@@ -200,7 +170,7 @@ func TestMeasureProducesUsableTable(t *testing.T) {
 		t.Fatalf("measured table round trip:\n%q\n%q", cal.String(), rt.String())
 	}
 	op := testOperands(t, "er", 512, 20250806)
-	pl := &Planner{Calib: cal, Workers: 2}
+	pl := &Planner{Calib: cal}
 	for _, h := range []int{16, 64} {
 		d := pl.ChooseOperands(op, h)
 		if d.Kernel == "" || math.IsInf(d.PredictedNs(), 1) {

@@ -8,41 +8,26 @@ import (
 
 // KernelClass names one executable kernel choice the execution planner
 // (internal/plan) ranks: the CUDA-core CSR kernel or the V:N:M/SPTC
-// hybrid, each in its serial and sched-parallel form. The string values
-// match the kernel names internal/bench emits, so planner decisions and
-// benchmark rows speak the same vocabulary.
+// hybrid. Both run on whatever sched pool the dispatch is given —
+// serial is a pool of one — so the class is the format, never the
+// worker count.
 type KernelClass string
 
 const (
-	KernelCSRSerial      KernelClass = "csr-serial"
-	KernelCSRParallel    KernelClass = "csr-parallel"
-	KernelHybridSerial   KernelClass = "hybrid-serial"
-	KernelHybridParallel KernelClass = "hybrid-parallel"
+	KernelCSR    KernelClass = "csr"
+	KernelHybrid KernelClass = "hybrid"
 )
 
 // KernelClasses returns every kernel class in canonical (sorted-string)
 // order — the deterministic iteration order the planner and the
 // calibration table both use.
 func KernelClasses() []KernelClass {
-	return []KernelClass{
-		KernelCSRParallel,
-		KernelCSRSerial,
-		KernelHybridParallel,
-		KernelHybridSerial,
-	}
-}
-
-// IsParallel reports whether the class runs on the sched pool (its
-// serial twin runs inline on the caller).
-func (k KernelClass) IsParallel() bool {
-	return k == KernelCSRParallel || k == KernelHybridParallel
+	return []KernelClass{KernelCSR, KernelHybrid}
 }
 
 // IsHybrid reports whether the class consumes the V:N:M compressed
 // split (and therefore requires conforming operands).
-func (k KernelClass) IsHybrid() bool {
-	return k == KernelHybridSerial || k == KernelHybridParallel
-}
+func (k KernelClass) IsHybrid() bool { return k == KernelHybrid }
 
 // OpProfile captures the structural facts of one SpMM dispatch that the
 // cycle model consumes. Everything here is cheap to extract (one pass
@@ -88,18 +73,18 @@ func ProfileOf(a *csr.Matrix, comp *venom.Matrix, resid *csr.Matrix, h int, cm s
 
 // ModelCycles returns the cost-model cycles of running kernel class k
 // over profile p — the hardware-independent half of the planner's cost
-// estimate. A serial class and its parallel twin cost the same model
-// cycles (the model charges work, not scheduling); what separates them
-// in practice is the measured ns-per-cycle coefficient internal/plan
-// calibrates, which is exactly the gap the er-8k hybrid inversion in
-// BENCH_spmm.json exposes (model says 3.0 flop/cycle for hybrid vs 1.0
-// for CSR; the CPU, lacking sparse tensor cores, runs hybrid slower).
-// Returns 0 for a hybrid class when p has no split.
+// estimate. The model charges work, not scheduling, so the pool a
+// class runs on does not enter it; what the measured ns-per-cycle
+// coefficient internal/plan calibrates absorbs is the hardware gap the
+// er-8k hybrid inversion in BENCH_spmm.json exposes (model says 3.0
+// flop/cycle for hybrid vs 1.0 for CSR; the CPU, lacking sparse tensor
+// cores, runs hybrid slower). Returns 0 for the hybrid class when p
+// has no split.
 func ModelCycles(cm sptc.CostModel, k KernelClass, p OpProfile) float64 {
 	switch k {
-	case KernelCSRSerial, KernelCSRParallel:
+	case KernelCSR:
 		return cm.CSRSpMMCycles(p.NNZ, p.N, p.H)
-	case KernelHybridSerial, KernelHybridParallel:
+	case KernelHybrid:
 		if !p.HasSplit {
 			return 0
 		}

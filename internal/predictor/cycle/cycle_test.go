@@ -61,22 +61,16 @@ func TestModelCyclesGolden(t *testing.T) {
 		golden map[cycle.KernelClass]float64
 	}{
 		{"er", 1024, 8, map[cycle.KernelClass]float64{
-			cycle.KernelCSRSerial:      1.050112e+06,
-			cycle.KernelCSRParallel:    1.050112e+06,
-			cycle.KernelHybridSerial:   324736,
-			cycle.KernelHybridParallel: 324736,
+			cycle.KernelCSR:    1.050112e+06,
+			cycle.KernelHybrid: 324736,
 		}},
 		{"powerlaw", 1024, 8, map[cycle.KernelClass]float64{
-			cycle.KernelCSRSerial:      524032,
-			cycle.KernelCSRParallel:    524032,
-			cycle.KernelHybridSerial:   165088,
-			cycle.KernelHybridParallel: 165088,
+			cycle.KernelCSR:    524032,
+			cycle.KernelHybrid: 165088,
 		}},
 		{"banded", 1024, 6, map[cycle.KernelClass]float64{
-			cycle.KernelCSRSerial:      833792,
-			cycle.KernelCSRParallel:    833792,
-			cycle.KernelHybridSerial:   412448,
-			cycle.KernelHybridParallel: 412448,
+			cycle.KernelCSR:    833792,
+			cycle.KernelHybrid: 412448,
 		}},
 	}
 	for _, tc := range cases {
@@ -91,26 +85,8 @@ func TestModelCyclesGolden(t *testing.T) {
 	}
 }
 
-// TestModelCyclesSerialParallelTwins: a serial class and its parallel
-// twin cost identical model cycles — the model charges work, not
-// scheduling. The measured ns-per-cycle calibration (internal/plan) is
-// what separates the twins.
-func TestModelCyclesSerialParallelTwins(t *testing.T) {
-	cm := sptc.DefaultCostModel()
-	p := goldenProfile(t, "er", 512, 8)
-	if s, par := cycle.ModelCycles(cm, cycle.KernelCSRSerial, p),
-		cycle.ModelCycles(cm, cycle.KernelCSRParallel, p); s != par {
-		t.Errorf("csr twins disagree: serial %v parallel %v", s, par)
-	}
-	if s, par := cycle.ModelCycles(cm, cycle.KernelHybridSerial, p),
-		cycle.ModelCycles(cm, cycle.KernelHybridParallel, p); s != par {
-		t.Errorf("hybrid twins disagree: serial %v parallel %v", s, par)
-	}
-}
-
 // TestModelCyclesHybridNeedsSplit: without a compressed split the
-// hybrid classes are ineligible and cost zero (the planner filters
-// them out before ranking).
+// hybrid class costs zero, which the planner reads as "cannot run".
 func TestModelCyclesHybridNeedsSplit(t *testing.T) {
 	cm := sptc.DefaultCostModel()
 	g := goldenGraph(t, "er", 256, 6, 3)
@@ -118,10 +94,10 @@ func TestModelCyclesHybridNeedsSplit(t *testing.T) {
 	if p.HasSplit {
 		t.Fatal("profile without operands claims a split")
 	}
-	if c := cycle.ModelCycles(cm, cycle.KernelHybridSerial, p); c != 0 {
+	if c := cycle.ModelCycles(cm, cycle.KernelHybrid, p); c != 0 {
 		t.Errorf("hybrid cycles without split = %v, want 0", c)
 	}
-	if c := cycle.ModelCycles(cm, cycle.KernelCSRSerial, p); c <= 0 {
+	if c := cycle.ModelCycles(cm, cycle.KernelCSR, p); c <= 0 {
 		t.Errorf("csr cycles without split = %v, want > 0", c)
 	}
 }
@@ -136,8 +112,8 @@ func TestProfileOfResidual(t *testing.T) {
 	}
 	noResid := p
 	noResid.ResidNNZ = 0
-	withC := cycle.ModelCycles(cm, cycle.KernelHybridSerial, p)
-	withoutC := cycle.ModelCycles(cm, cycle.KernelHybridSerial, noResid)
+	withC := cycle.ModelCycles(cm, cycle.KernelHybrid, p)
+	withoutC := cycle.ModelCycles(cm, cycle.KernelHybrid, noResid)
 	if withC <= withoutC {
 		t.Errorf("residual entries must add cycles: with %v <= without %v", withC, withoutC)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/plan"
 	"repro/internal/predictor/cycle"
+	"repro/internal/sched"
 	"repro/internal/spmm"
 	"repro/internal/sptc"
 	"repro/internal/venom"
@@ -65,8 +66,8 @@ func TestCalibratedOrderingMatchesMeasured(t *testing.T) {
 	// Half 1: the raw cycle model. On the er regime it must prefer the
 	// hybrid — this is the modeled-GPU side of the inversion, and it is
 	// deterministic.
-	csrCycles := cycle.ModelCycles(cm, cycle.KernelCSRSerial, prof)
-	hybCycles := cycle.ModelCycles(cm, cycle.KernelHybridSerial, prof)
+	csrCycles := cycle.ModelCycles(cm, cycle.KernelCSR, prof)
+	hybCycles := cycle.ModelCycles(cm, cycle.KernelHybrid, prof)
 	if hybCycles >= csrCycles {
 		t.Fatalf("cycle model no longer prefers hybrid on er (csr=%v, hybrid=%v); the inversion premise is gone", csrCycles, hybCycles)
 	}
@@ -75,31 +76,32 @@ func TestCalibratedOrderingMatchesMeasured(t *testing.T) {
 	var outA, scratchA dense.Arena
 	c := outA.Matrix(a.N, h)
 	s := scratchA.Matrix(a.N, h)
-	csrNs := bestNs(repeats, func() { spmm.CSRSerialInto(c, a, b) })
-	hybNs := bestNs(repeats, func() { spmm.HybridSerialInto(c, s, comp, resid, b) })
+	pool := sched.Serial()
+	csrNs := bestNs(repeats, func() { spmm.CSR(pool, c, a, b) })
+	hybNs := bestNs(repeats, func() { spmm.Hybrid(pool, c, s, comp, resid, b) })
 	if csrNs < hybNs {
-		t.Logf("er inversion present on this host: measured csr-serial %.0fns < hybrid-serial %.0fns despite model cycles %v > %v",
+		t.Logf("er inversion present on this host: measured csr %.0fns < hybrid %.0fns despite model cycles %v > %v",
 			csrNs, hybNs, csrCycles, hybCycles)
 	}
 
-	// The calibrated predictor must rank the serial pair the same way
-	// the measurement does.
+	// The calibrated predictor must rank the pair the same way the
+	// measurement does.
 	cal, err := plan.Measure(plan.MeasureConfig{Seed: seed, Workers: 1, Repeats: repeats, ProbeN: n, ProbeDegree: deg, ProbeH: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := &plan.Planner{Calib: cal, Workers: 1}
-	predCSR := pl.PredictNs(cycle.KernelCSRSerial, prof)
-	predHyb := pl.PredictNs(cycle.KernelHybridSerial, prof)
+	pl := &plan.Planner{Calib: cal}
+	predCSR := pl.PredictNs(cycle.KernelCSR, prof)
+	predHyb := pl.PredictNs(cycle.KernelHybrid, prof)
 	if (predCSR < predHyb) != (csrNs < hybNs) {
 		t.Fatalf("calibrated ordering disagrees with measurement: predicted csr=%.0f hybrid=%.0f, measured csr=%.0f hybrid=%.0f",
 			predCSR, predHyb, csrNs, hybNs)
 	}
 	// And the resulting decision is the measured winner.
 	d := pl.Choose(prof)
-	want := cycle.KernelCSRSerial
+	want := cycle.KernelCSR
 	if hybNs < csrNs {
-		want = cycle.KernelHybridSerial
+		want = cycle.KernelHybrid
 	}
 	if d.Kernel != want {
 		t.Fatalf("planner chose %s, measured winner is %s (predictions %+v)", d.Kernel, want, d.Predictions)

@@ -9,8 +9,8 @@
 // rectangle of the output matrix, and each output element is
 // accumulated by exactly one worker in the same operand order the
 // serial kernel uses. Kernels built on this package therefore return
-// results bit-identical to their serial twins at every worker count
-// and tile size — no atomics on float32, no unordered reductions —
+// results bit-identical to single-goroutine references at every worker
+// count and tile size — no atomics on float32, no unordered reductions —
 // which is what lets internal/check hold parallel kernels to an exact
 // (tolerance-zero) differential oracle.
 //
@@ -87,12 +87,12 @@ func (p *Pool) WithTarget(target int64) *Pool {
 	return &q
 }
 
-// Default returns the GOMAXPROCS-sized pool every kernel uses unless
-// handed an explicit one.
+// Default returns the GOMAXPROCS-sized pool — what callers pass a
+// kernel when they mean "the whole machine".
 func Default() *Pool { return New(0) }
 
-// Serial returns the one-worker pool (kernels run inline, unchanged
-// from their serial twins).
+// Serial returns the one-worker pool: kernels handed it run every tile
+// inline on the caller, so it is the serial form of every kernel.
 func Serial() *Pool { return New(1) }
 
 // Workers returns the pool's worker count.
@@ -146,8 +146,8 @@ func (p *Pool) Options(totalCost int64) TileOptions {
 // half-steals linearize on one CAS. Indices only move inward, so there
 // is no ABA hazard. The pad keeps hot spans on distinct cache lines.
 type span struct {
-	hl  atomic.Uint64 // head<<32 | tail, both indices into [0, n)
-	_   [56]byte
+	hl atomic.Uint64 // head<<32 | tail, both indices into [0, n)
+	_  [56]byte
 }
 
 func pack(h, t uint32) uint64 { return uint64(h)<<32 | uint64(t) }
@@ -297,7 +297,7 @@ func (p *Pool) Run(n int, fn func(i int)) error {
 			executed := 0
 			defer func() {
 				if p.obs != nil {
-					p.obs.Volatile("sched/worker/"+strconv.Itoa(self)+"/executed").Add(int64(executed))
+					p.obs.Volatile("sched/worker/" + strconv.Itoa(self) + "/executed").Add(int64(executed))
 				}
 			}()
 			for {

@@ -281,7 +281,7 @@ func NewEngine(g *graph.Graph, cfg EngineConfig) (*Engine, error) {
 		copy(rhs.Row(pos), x.Row(perm[pos]))
 	}
 	for hop := 1; hop < cfg.Hops; hop++ {
-		rhs = spmm.CSRPool(pool, a, rhs)
+		rhs = spmm.CSR(pool, nil, a, rhs)
 	}
 	head := dense.NewMatrix(cfg.FeatureDim, cfg.Classes)
 	head.Randomize(1, cfg.Seed+1)
@@ -332,7 +332,7 @@ func NewEngine(g *graph.Graph, cfg EngineConfig) (*Engine, error) {
 		e.mpool = sched.New(cfg.Workers)
 	}
 	if cfg.Mode == ModeAuto {
-		e.planner = &plan.Planner{Calib: cfg.Calib, Workers: pool.Workers()}
+		e.planner = &plan.Planner{Calib: cfg.Calib}
 	}
 	e.registerMetrics()
 	return e, nil
@@ -506,7 +506,7 @@ func (e *Engine) dispatchShard(s int) *dense.Matrix {
 	}
 	if e.csrOnly[s] || h.comp == nil || e.cfg.Mode == ModeCSR {
 		e.obs.Volatile("serve/dispatch/csr").Inc()
-		spmm.CSRPoolInto(e.pool, e.y, h.sub, e.rhs)
+		spmm.CSR(e.pool, e.y, h.sub, e.rhs)
 		return e.y
 	}
 	if e.cfg.Mode == ModeAuto {
@@ -518,7 +518,7 @@ func (e *Engine) dispatchShard(s int) *dense.Matrix {
 		return plan.Execute(h.dec, e.pool, plan.Operands{A: h.sub, Comp: h.comp, Resid: h.resid}, e.rhs, &e.arena)
 	}
 	e.obs.Volatile("serve/dispatch/hybrid").Inc()
-	spmm.HybridPoolInto(e.pool, e.y, e.scratch, h.comp, h.resid, e.rhs)
+	spmm.Hybrid(e.pool, e.y, e.scratch, h.comp, h.resid, e.rhs)
 	return e.y
 }
 
@@ -551,7 +551,7 @@ func (e *Engine) gatherRows(positions []int) map[int][]float32 {
 		}
 		g.RowPtr[i+1] = int32(len(g.ColIdx))
 	}
-	spmm.CSRPoolInto(e.pool, e.y, g, e.rhs)
+	spmm.CSR(e.pool, e.y, g, e.rhs)
 	rows := make(map[int][]float32, len(positions))
 	for _, p := range positions {
 		rows[p] = append([]float32(nil), e.y.Row(p)...)

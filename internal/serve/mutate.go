@@ -127,7 +127,7 @@ func (e *Engine) Mutate(ops []dyn.Mutation) (MutateOutcome, error) {
 		copy(rhs2.Row(pos), e.x0.Row(newPerm[pos]))
 	}
 	for hop := 1; hop < e.cfg.Hops; hop++ {
-		rhs2 = spmm.CSRPool(e.mpool, a2, rhs2)
+		rhs2 = spmm.CSR(e.mpool, nil, a2, rhs2)
 	}
 
 	var ballRows, touchedShards []int

@@ -187,7 +187,7 @@ func TestMutateRebuildWindow(t *testing.T) {
 		}
 		rebuilt = rebuilt || out.Batch.Rebuilt
 		// Reads must stay live inside the window.
-		resp := e.ServeBatch([]*Request{{Op: OpEmbed, Nodes: []int{0, n/2, n - 1}}}, false)[0]
+		resp := e.ServeBatch([]*Request{{Op: OpEmbed, Nodes: []int{0, n / 2, n - 1}}}, false)[0]
 		if len(resp.Rows) != 3 {
 			t.Fatal("short response during window")
 		}

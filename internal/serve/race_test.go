@@ -130,6 +130,11 @@ func TestMutationHammer(t *testing.T) {
 	// Twin: the expected probe checksum at EVERY epoch, applied
 	// batch by batch on an identical engine.
 	twin := mutableEngine(t, g, cfg)
+	// Seed the live engine from the twin's boot layout, captured before
+	// any batch can move it (repair swaps and rebuilds change Perm), so
+	// both engines start the stream from the same permutation and the
+	// live engine skips the (identical) re-reorder.
+	bootPerm := twin.Perm()
 	expected := make([]uint64, len(bs)+1)
 	expected[0] = twin.ServeBatch([]*Request{probe}, false)[0].Checksum()
 	for i, b := range bs {
@@ -139,7 +144,7 @@ func TestMutationHammer(t *testing.T) {
 		twin.WaitWarm()
 		expected[i+1] = twin.ServeBatch([]*Request{probe}, false)[0].Checksum()
 	}
-	cfg.Perm = twin.Perm() // skip the (identical) re-reorder
+	cfg.Perm = bootPerm
 
 	live := mutableEngine(t, g, cfg)
 	srv, err := NewServer(live, ServerConfig{QueueLimit: 64, DegradeDepth: 0})

@@ -1,46 +1,29 @@
 package spmm
 
 import (
-	"math"
-
 	"repro/internal/bsr"
 	"repro/internal/csr"
 	"repro/internal/dense"
 	"repro/internal/sched"
 )
 
-// SpMVSerial computes y = A x for a CSR matrix and dense vector on a
-// single goroutine (reference implementation).
-func SpMVSerial(a *csr.Matrix, x []float32) []float32 {
-	if len(x) != a.N {
-		panic("spmm: SpMV dimension mismatch")
-	}
-	y := make([]float32, a.N)
-	spmvRange(a, x, y, 0, a.N)
-	return y
-}
-
 // SpMV computes y = A x for a CSR matrix and dense vector, row-parallel
-// — the H = 1 degenerate case of SpMM, included because several graph
-// algorithms (PageRank-style iterations, power iteration) are SpMV
-// loops.
-func SpMV(a *csr.Matrix, x []float32) []float32 {
-	return SpMVPool(sched.Default(), a, x)
-}
-
-// SpMVPool computes y = A x on an explicit scheduler pool. With a
-// single output column there is no column dimension to split heavy
-// rows over; each row's dot product stays with one worker, which is
-// exactly what keeps the accumulation order — and hence the bits —
-// identical to SpMVSerial.
-func SpMVPool(p *sched.Pool, a *csr.Matrix, x []float32) []float32 {
+// on pool p — the H = 1 degenerate case of SpMM. With a single output
+// column there is no column dimension to split heavy rows over; each
+// row's dot product stays with one worker, which is exactly what keeps
+// the accumulation order — and hence the bits — identical at every
+// worker count. A tile panic surfaces as a *sched.TileError, as in CSR.
+func SpMV(p *sched.Pool, a *csr.Matrix, x []float32) []float32 {
 	if len(x) != a.N {
 		panic("spmm: SpMV dimension mismatch")
 	}
 	y := make([]float32, a.N)
-	p.RunTiles(a.N, 1, int64(a.NNZ()), func(r int) int64 { return int64(a.RowNNZ(r)) }, func(t sched.Tile) {
+	err := p.RunTiles(a.N, 1, int64(a.NNZ()), func(r int) int64 { return int64(a.RowNNZ(r)) }, func(t sched.Tile) {
 		spmvRange(a, x, y, t.RowLo, t.RowHi)
 	})
+	if err != nil {
+		panic(err)
+	}
 	return y
 }
 
@@ -55,30 +38,21 @@ func spmvRange(a *csr.Matrix, x, y []float32, lo, hi int) {
 	}
 }
 
-// BSRSerial computes C = A x B for a binary BSR matrix and dense B on
-// a single goroutine (reference implementation).
-func BSRSerial(a *bsr.Matrix, b *dense.Matrix) *dense.Matrix {
-	c := dense.NewMatrix(a.N, b.Cols)
-	bsrTile(a, b, c, sched.Tile{RowLo: 0, RowHi: a.NumBlockRows(), ColLo: 0, ColHi: b.Cols})
-	return c
-}
-
 // BSR computes C = A x B for a binary BSR matrix (the paper's Listing-1
-// storage) and a dense B: block-row parallel, with the M-by-M block
-// values driving unit-weight accumulations. Used to validate that the
-// BSR storage layer carries exactly the adjacency structure.
-func BSR(a *bsr.Matrix, b *dense.Matrix) *dense.Matrix {
-	return BSRPool(sched.Default(), a, b)
-}
-
-// BSRPool computes the BSR kernel on an explicit scheduler pool,
-// tiling block rows by their stored-block population.
-func BSRPool(p *sched.Pool, a *bsr.Matrix, b *dense.Matrix) *dense.Matrix {
+// storage) and a dense B on pool p: block-row parallel, tiled by each
+// block row's stored-block population, with the M-by-M block values
+// driving unit-weight accumulations. Used to validate that the BSR
+// storage layer carries exactly the adjacency structure. A tile panic
+// surfaces as a *sched.TileError, as in CSR.
+func BSR(p *sched.Pool, a *bsr.Matrix, b *dense.Matrix) *dense.Matrix {
 	c := dense.NewMatrix(a.N, b.Cols)
 	blockWork := int64(a.M) * int64(a.M)
-	p.RunTiles(a.NumBlockRows(), b.Cols, int64(a.NumBlocks())*blockWork,
+	err := p.RunTiles(a.NumBlockRows(), b.Cols, int64(a.NumBlocks())*blockWork,
 		func(br int) int64 { return int64(a.BlockRowBlocks(br)) * blockWork },
 		func(t sched.Tile) { bsrTile(a, b, c, t) })
+	if err != nil {
+		panic(err)
+	}
 	return c
 }
 
@@ -113,32 +87,4 @@ func bsrTile(a *bsr.Matrix, b, c *dense.Matrix, t sched.Tile) {
 			}
 		}
 	}
-}
-
-// PowerIteration runs iters SpMV steps y <- normalize(A y) and returns
-// the final vector — a stand-in for the symmetric spectral workloads
-// that keep using the reordered adjacency matrix.
-func PowerIteration(a *csr.Matrix, iters int, seed int64) []float32 {
-	x := make([]float32, a.N)
-	s := uint64(seed)*2862933555777941757 + 3037000493
-	for i := range x {
-		s = s*2862933555777941757 + 3037000493
-		x[i] = float32(s%1000)/1000 + 0.001
-	}
-	for it := 0; it < iters; it++ {
-		y := SpMV(a, x)
-		var norm float64
-		for _, v := range y {
-			norm += float64(v) * float64(v)
-		}
-		if norm == 0 {
-			return y
-		}
-		inv := float32(1 / math.Sqrt(norm))
-		for i := range y {
-			y[i] *= inv
-		}
-		x = y
-	}
-	return x
 }

@@ -1,6 +1,7 @@
 package spmm
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/resil"
+	"repro/internal/sched"
 	"repro/internal/sptc"
 	"repro/internal/venom"
 )
@@ -19,10 +22,10 @@ func TestSpMVMatchesSpMM(t *testing.T) {
 	for i := range x {
 		x[i] = float32(i%7) * 0.3
 	}
-	y := SpMV(a, x)
+	y := SpMV(sched.Default(), a, x)
 	// SpMM with H=1 must agree.
 	b := dense.FromData(80, 1, append([]float32(nil), x...))
-	c := CSR(a, b)
+	c := CSR(sched.Default(), nil, a, b)
 	for i := range y {
 		if d := math.Abs(float64(y[i] - c.At(i, 0))); d > 1e-4 {
 			t.Fatalf("SpMV[%d] = %v, SpMM = %v", i, y[i], c.At(i, 0))
@@ -37,7 +40,7 @@ func TestSpMVPanicsOnMismatch(t *testing.T) {
 			t.Error("want panic")
 		}
 	}()
-	SpMV(a, make([]float32, 4))
+	SpMV(sched.Default(), a, make([]float32, 4))
 }
 
 func TestBSRMatchesCSR(t *testing.T) {
@@ -50,8 +53,8 @@ func TestBSRMatchesCSR(t *testing.T) {
 		}
 		a := csr.FromBitMatrix(bm)
 		b := randomB(70, 13, 3)
-		want := CSR(a, b)
-		got := BSR(bs, b)
+		want := CSR(sched.Default(), nil, a, b)
+		got := BSR(sched.Default(), bs, b)
 		if d := dense.MaxAbsDiff(want, got); d > 1e-4 {
 			t.Errorf("M=%d: BSR SpMM differs from CSR by %v", M, d)
 		}
@@ -67,37 +70,8 @@ func TestBSRRaggedDimension(t *testing.T) {
 	}
 	a := csr.FromBitMatrix(bm)
 	b := randomB(50, 5, 2)
-	if d := dense.MaxAbsDiff(CSR(a, b), BSR(bs, b)); d > 1e-4 {
+	if d := dense.MaxAbsDiff(CSR(sched.Default(), nil, a, b), BSR(sched.Default(), bs, b)); d > 1e-4 {
 		t.Errorf("ragged BSR differs by %v", d)
-	}
-}
-
-func TestPowerIterationConverges(t *testing.T) {
-	// On a symmetric matrix, power iteration converges to the dominant
-	// eigenvector: successive iterates align.
-	g := graph.Banded(60, 2, 0.9, 1)
-	a := csr.FromGraph(g)
-	v1 := PowerIteration(a, 50, 3)
-	v2 := PowerIteration(a, 51, 3)
-	var dot, n1, n2 float64
-	for i := range v1 {
-		dot += float64(v1[i]) * float64(v2[i])
-		n1 += float64(v1[i]) * float64(v1[i])
-		n2 += float64(v2[i]) * float64(v2[i])
-	}
-	cos := math.Abs(dot / math.Sqrt(n1*n2))
-	if cos < 0.999 {
-		t.Errorf("power iteration not converged: cos = %v", cos)
-	}
-}
-
-func TestPowerIterationEmptyMatrix(t *testing.T) {
-	a, _ := csr.FromEntries(10, nil, nil, nil)
-	v := PowerIteration(a, 5, 1)
-	for _, x := range v {
-		if x != 0 {
-			t.Fatal("empty matrix should zero out")
-		}
 	}
 }
 
@@ -109,7 +83,7 @@ func BenchmarkSpMV(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = SpMV(a, x)
+		_ = SpMV(sched.Default(), a, x)
 	}
 }
 
@@ -118,7 +92,7 @@ func TestTraceMatchesCostModelStats(t *testing.T) {
 	// counts the cost model charges for — the model is a deterministic
 	// function of what the kernel actually does.
 	a, cm := benchGraphCSR(512)
-	tr := TraceVNM(cm)
+	tr := TraceVNM(sched.Default(), cm)
 	st := sptc.Stats(cm, sptc.DefaultCostModel())
 	if tr.Blocks != st.Blocks {
 		t.Errorf("blocks: trace %d vs stats %d", tr.Blocks, st.Blocks)
@@ -158,7 +132,7 @@ func TestTraceUltraSparseUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := TraceVNM(comp)
+	tr := TraceVNM(sched.Default(), comp)
 	if tr.Utilization() > 0.9 {
 		t.Errorf("ultra-sparse utilization %v suspiciously high", tr.Utilization())
 	}
@@ -167,7 +141,54 @@ func TestTraceUltraSparseUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if TraceVNM(ec).Utilization() != 0 {
+	if TraceVNM(sched.Default(), ec).Utilization() != 0 {
 		t.Error("empty matrix utilization != 0")
+	}
+}
+
+// TestTileFaultsSurface: a tile crash injected on the pool reaches the
+// caller as a *sched.TileError from every kernel — none may return a
+// silently partial result.
+func TestTileFaultsSurface(t *testing.T) {
+	g := graph.ErdosRenyi(96, 0.1, 3)
+	a := csr.FromGraph(g)
+	bs, err := bsr.FromBitMatrix(g.ToBitMatrix(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, resid, err := venom.SplitToConform(a, pattern.NM(2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := randomB(a.N, 8, 4)
+	x := make([]float32, a.N)
+	for i := range x {
+		x[i] = b.At(i, 0)
+	}
+	for name, run := range map[string]func(p *sched.Pool){
+		"csr":    func(p *sched.Pool) { CSR(p, nil, a, b) },
+		"vnm":    func(p *sched.Pool) { VNM(p, nil, comp, b) },
+		"hybrid": func(p *sched.Pool) { Hybrid(p, nil, nil, comp, resid, b) },
+		"bsr":    func(p *sched.Pool) { BSR(p, bs, b) },
+		"spmv":   func(p *sched.Pool) { SpMV(p, a, x) },
+	} {
+		for _, w := range []int{1, 2} {
+			plan, err := resil.ParsePlan("seed=1; crash@tile:1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := sched.NewWithTarget(w, 16).WithInjector(resil.NewInjector(plan, nil))
+			func() {
+				defer func() {
+					var te *sched.TileError
+					if r := recover(); r == nil {
+						t.Errorf("%s (workers=%d): injected tile crash swallowed", name, w)
+					} else if err, ok := r.(error); !ok || !errors.As(err, &te) {
+						t.Errorf("%s (workers=%d): panic %v, want *sched.TileError", name, w, r)
+					}
+				}()
+				run(pool)
+			}()
+		}
 	}
 }

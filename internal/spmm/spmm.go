@@ -1,18 +1,22 @@
 // Package spmm provides the SpMM kernels the paper's evaluation
 // compares: the CUDA-core CSR kernel (the cuSPARSE baseline PyG/DGL
-// default to), the sparse-tensor-core kernel over V:N:M compressed
-// operands (the Spatha stand-in), and a dense reference. Every kernel
-// computes C = A x B for a sparse n-by-n A and dense n-by-h B, returns
-// the same numerical result, and reports both measured wall time and
-// modeled GPU cycles (see internal/sptc).
+// default to) and the sparse-tensor-core kernel over V:N:M compressed
+// operands (the Spatha stand-in), plus the hybrid of the two, binary
+// BSR and SpMV. Every kernel computes C = A x B for a sparse n-by-n A
+// and dense n-by-h B and returns the same numerical result.
 //
-// Each kernel comes in two forms: a single-goroutine serial reference
-// (XxxSerial) and a parallel version executed on the internal/sched
-// tiled work-stealing engine (Xxx / XxxPool). The parallel forms are
-// bit-deterministic: tiles own disjoint output rectangles and
-// accumulate each element in the serial operand order, so for any
-// worker count and tile size the parallel result equals the serial
-// reference exactly (internal/check enforces this bitwise).
+// There is one entry point per format, and each runs on the
+// internal/sched tiled work-stealing engine through the pool it is
+// handed. Serial is a pool of one: sched.Serial() executes every tile
+// inline on the caller. The kernels are bit-deterministic: tiles own
+// disjoint output rectangles and accumulate each element in operand
+// order, so for any worker count and tile size the result equals the
+// single-goroutine references in internal/check exactly (enforced
+// bitwise there).
+//
+// The matrix-output kernels take an optional output matrix: nil
+// allocates a fresh one, a non-nil matrix (typically arena-reused, see
+// dense.Arena) must have the product's shape and is zeroed first.
 package spmm
 
 import (
@@ -51,63 +55,30 @@ func axpy(dst, src []float32, v float32) {
 	}
 }
 
-// CSRSerial computes C = A x B with a single-threaded CSR kernel
-// (reference implementation).
-func CSRSerial(a *csr.Matrix, b *dense.Matrix) *dense.Matrix {
-	c := dense.NewMatrix(a.N, b.Cols)
-	CSRSerialInto(c, a, b)
-	return c
-}
-
-// CSRSerialInto computes C = A x B into a caller-provided (typically
-// arena-reused, see dense.Arena) output matrix, zeroing it first. c
-// must be a.N rows by b.Cols columns.
-func CSRSerialInto(c *dense.Matrix, a *csr.Matrix, b *dense.Matrix) {
-	checkOut(c, a.N, b.Cols)
-	c.Zero()
-	for i := 0; i < a.N; i++ {
-		cols, vals := a.Row(i)
-		cr := c.Row(i)
-		for k, col := range cols {
-			br := b.Row(int(col))
-			axpy(cr, br, vals[k])
-		}
+// output returns c ready to receive a rows-by-cols product: a fresh
+// zeroed matrix when c is nil, otherwise c zeroed after its shape is
+// validated.
+func output(c *dense.Matrix, rows, cols int) *dense.Matrix {
+	if c == nil {
+		return dense.NewMatrix(rows, cols)
 	}
-}
-
-// checkOut validates a caller-provided output matrix's shape.
-func checkOut(c *dense.Matrix, rows, cols int) {
 	if c.Rows != rows || c.Cols != cols {
 		panic(fmt.Sprintf("spmm: output matrix is %dx%d, want %dx%d", c.Rows, c.Cols, rows, cols))
 	}
-}
-
-// CSR computes C = A x B with the row-parallel CSR kernel — the
-// cuSPARSE CSR-SpMM (CUSPARSE_SPMM_CSR_ALG2) stand-in — on the default
-// GOMAXPROCS-sized pool.
-func CSR(a *csr.Matrix, b *dense.Matrix) *dense.Matrix {
-	return CSRPool(sched.Default(), a, b)
-}
-
-// CSRPool computes C = A x B on an explicit scheduler pool, tiling
-// rows by nonzero count (heavy rows split across B's columns, light
-// rows batched). A tile panic (an injected fault or a genuine bug) is
-// contained by the pool and re-raised here on the calling goroutine as
-// a *sched.TileError — recoverable by the caller, with the pool left
-// usable.
-func CSRPool(p *sched.Pool, a *csr.Matrix, b *dense.Matrix) *dense.Matrix {
-	c := dense.NewMatrix(a.N, b.Cols)
-	CSRPoolInto(p, c, a, b)
+	c.Zero()
 	return c
 }
 
-// CSRPoolInto computes the parallel CSR kernel into a caller-provided
-// output matrix (zeroed first), letting dispatch loops reuse one
-// arena-allocated output instead of paying an allocation per call.
-func CSRPoolInto(p *sched.Pool, c *dense.Matrix, a *csr.Matrix, b *dense.Matrix) {
+// CSR computes C = A x B with the row-parallel CSR kernel — the
+// cuSPARSE CSR-SpMM (CUSPARSE_SPMM_CSR_ALG2) stand-in — into c (nil
+// allocates), tiling rows by nonzero count (heavy rows split across
+// B's columns, light rows batched). A tile panic (an injected fault or
+// a genuine bug) is contained by the pool and re-raised here on the
+// calling goroutine as a *sched.TileError — recoverable by the caller,
+// with the pool left usable.
+func CSR(p *sched.Pool, c *dense.Matrix, a *csr.Matrix, b *dense.Matrix) *dense.Matrix {
 	p.Obs().Counter("spmm/dispatch/csr").Inc()
-	checkOut(c, a.N, b.Cols)
-	c.Zero()
+	c = output(c, a.N, b.Cols)
 	h := b.Cols
 	err := p.RunTiles(a.N, h, int64(a.NNZ()), func(r int) int64 { return int64(a.RowNNZ(r)) }, func(t sched.Tile) {
 		for i := t.RowLo; i < t.RowHi; i++ {
@@ -122,42 +93,20 @@ func CSRPoolInto(p *sched.Pool, c *dense.Matrix, a *csr.Matrix, b *dense.Matrix)
 	if err != nil {
 		panic(err)
 	}
-}
-
-// VNMSerial computes C = A x B over the V:N:M compressed
-// representation on a single goroutine — the serial twin the parallel
-// kernel is checked against.
-func VNMSerial(m *venom.Matrix, b *dense.Matrix) *dense.Matrix {
-	c := dense.NewMatrix(m.N, b.Cols)
-	vnmTile(m, b, c, sched.Tile{RowLo: 0, RowHi: len(m.BlockRowPtr) - 1, ColLo: 0, ColHi: b.Cols})
 	return c
 }
 
-// VNM computes C = A x B over the V:N:M compressed representation,
-// mirroring the SPTC execution structure: block rows in parallel (one
-// warp each), packed values with metadata-selected columns reused
+// VNM computes C = A x B over the V:N:M compressed representation
+// into c (nil allocates), mirroring the SPTC execution structure:
+// block rows in parallel (one warp each), tiled by their stored-slot
+// count, with packed values and metadata-selected columns reused
 // across the block's V rows. The regular, compact access pattern is
 // what makes this kernel fast on sparse tensor cores; on a CPU (which
 // lacks that hardware) it runs at rough parity with CSR, and the
 // hardware advantage is captured by the cycle model instead.
-func VNM(m *venom.Matrix, b *dense.Matrix) *dense.Matrix {
-	return VNMPool(sched.Default(), m, b)
-}
-
-// VNMPool computes the V:N:M kernel on an explicit scheduler pool,
-// tiling block rows by their stored-slot count.
-func VNMPool(p *sched.Pool, m *venom.Matrix, b *dense.Matrix) *dense.Matrix {
-	c := dense.NewMatrix(m.N, b.Cols)
-	VNMPoolInto(p, c, m, b)
-	return c
-}
-
-// VNMPoolInto computes the parallel V:N:M kernel into a caller-provided
-// output matrix (zeroed first).
-func VNMPoolInto(p *sched.Pool, c *dense.Matrix, m *venom.Matrix, b *dense.Matrix) {
+func VNM(p *sched.Pool, c *dense.Matrix, m *venom.Matrix, b *dense.Matrix) *dense.Matrix {
 	p.Obs().Counter("spmm/dispatch/vnm").Inc()
-	checkOut(c, m.N, b.Cols)
-	c.Zero()
+	c = output(c, m.N, b.Cols)
 	blockRows := len(m.BlockRowPtr) - 1
 	vpb := int64(m.ValuesPerBlock())
 	err := p.RunTiles(blockRows, b.Cols, int64(m.NumBlocks())*vpb,
@@ -166,6 +115,7 @@ func VNMPoolInto(p *sched.Pool, c *dense.Matrix, m *venom.Matrix, b *dense.Matri
 	if err != nil {
 		panic(err)
 	}
+	return c
 }
 
 // vnmTile executes the compressed kernel over one output tile: block
@@ -204,69 +154,21 @@ func vnmTile(m *venom.Matrix, b, c *dense.Matrix, t sched.Tile) {
 	}
 }
 
-// HybridSerial computes the V:N:M/SPTC hybrid C = (comp + resid) x B
-// serially: the compressed kernel plus the CSR residual for entries
-// outside the pattern.
-func HybridSerial(comp *venom.Matrix, resid *csr.Matrix, b *dense.Matrix) *dense.Matrix {
-	c := VNMSerial(comp, b)
-	if resid != nil && resid.NNZ() > 0 {
-		c.Add(CSRSerial(resid, b))
-	}
-	return c
-}
-
-// HybridSerialInto computes the serial hybrid kernel into a
-// caller-provided output matrix, with an optional reusable scratch for
-// the residual product (same summation order as HybridSerial).
-func HybridSerialInto(c, scratch *dense.Matrix, comp *venom.Matrix, resid *csr.Matrix, b *dense.Matrix) {
-	checkOut(c, comp.N, b.Cols)
-	c.Zero()
-	vnmTile(comp, b, c, sched.Tile{RowLo: 0, RowHi: len(comp.BlockRowPtr) - 1, ColLo: 0, ColHi: b.Cols})
-	if resid != nil && resid.NNZ() > 0 {
-		if scratch == nil {
-			scratch = dense.NewMatrix(resid.N, b.Cols)
-		}
-		CSRSerialInto(scratch, resid, b)
-		c.Add(scratch)
-	}
-}
-
-// Hybrid computes the V:N:M/SPTC hybrid on the default pool.
-func Hybrid(comp *venom.Matrix, resid *csr.Matrix, b *dense.Matrix) *dense.Matrix {
-	return HybridPool(sched.Default(), comp, resid, b)
-}
-
-// HybridPool computes the V:N:M/SPTC hybrid on an explicit pool. Both
-// summands are bit-deterministic and the final element-wise Add runs
-// in index order, so the hybrid matches HybridSerial exactly.
-func HybridPool(p *sched.Pool, comp *venom.Matrix, resid *csr.Matrix, b *dense.Matrix) *dense.Matrix {
-	c := dense.NewMatrix(comp.N, b.Cols)
-	HybridPoolInto(p, c, nil, comp, resid, b)
-	return c
-}
-
-// HybridPoolInto computes the hybrid kernel into a caller-provided
-// output matrix. scratch, when non-nil, is reused for the residual
-// CSR product (it must match c's shape); the residual product is
-// always computed separately and element-wise added — accumulating the
-// residual directly into c would change float32 summation order and
-// break the bitwise HybridSerial contract.
-func HybridPoolInto(p *sched.Pool, c, scratch *dense.Matrix, comp *venom.Matrix, resid *csr.Matrix, b *dense.Matrix) {
+// Hybrid computes the V:N:M/SPTC hybrid C = (comp + resid) x B into c
+// (nil allocates): the compressed kernel plus the CSR kernel over the
+// residual entries outside the pattern (resid may be nil or empty).
+// scratch, when non-nil, is reused for the residual product (it must
+// match c's shape). The residual product is always computed separately
+// and element-wise added in index order — accumulating it directly
+// into c would change float32 summation order and break the bitwise
+// reference contract.
+func Hybrid(p *sched.Pool, c, scratch *dense.Matrix, comp *venom.Matrix, resid *csr.Matrix, b *dense.Matrix) *dense.Matrix {
 	p.Obs().Counter("spmm/dispatch/hybrid").Inc()
-	VNMPoolInto(p, c, comp, b)
+	c = VNM(p, c, comp, b)
 	if resid != nil && resid.NNZ() > 0 {
-		if scratch == nil {
-			scratch = dense.NewMatrix(resid.N, b.Cols)
-		}
-		CSRPoolInto(p, scratch, resid, b)
-		c.Add(scratch)
+		c.Add(CSR(p, scratch, resid, b))
 	}
-}
-
-// Dense computes C = A x B from a dense copy of A (reference and
-// dense-tensor-core comparison point).
-func Dense(a, b *dense.Matrix) *dense.Matrix {
-	return dense.MatMul(a, b)
+	return c
 }
 
 // Report carries one kernel execution's outcome: the result, wall
@@ -279,10 +181,10 @@ type Report struct {
 	Details string
 }
 
-// RunCSR executes and reports the CSR kernel.
-func RunCSR(a *csr.Matrix, b *dense.Matrix, cm sptc.CostModel) Report {
+// RunCSR executes and reports the CSR kernel on pool p.
+func RunCSR(p *sched.Pool, a *csr.Matrix, b *dense.Matrix, cm sptc.CostModel) Report {
 	start := time.Now()
-	c := CSR(a, b)
+	c := CSR(p, nil, a, b)
 	return Report{
 		C:      c,
 		Wall:   time.Since(start),
@@ -292,10 +194,10 @@ func RunCSR(a *csr.Matrix, b *dense.Matrix, cm sptc.CostModel) Report {
 }
 
 // RunVNM executes and reports the SPTC kernel over a compressed
-// matrix.
-func RunVNM(m *venom.Matrix, b *dense.Matrix, cm sptc.CostModel) Report {
+// matrix on pool p.
+func RunVNM(p *sched.Pool, m *venom.Matrix, b *dense.Matrix, cm sptc.CostModel) Report {
 	start := time.Now()
-	c := VNM(m, b)
+	c := VNM(p, nil, m, b)
 	return Report{
 		C:      c,
 		Wall:   time.Since(start),

@@ -1,7 +1,7 @@
-// Race hammer tests: every parallel kernel is driven from many
-// concurrent callers sharing one pool and one set of read-only
-// operands, and every concurrently produced result must still equal
-// the serial reference bitwise. Run under -race (scripts/ci.sh does,
+// Race hammer tests: every kernel is driven from many concurrent
+// callers sharing one pool and one set of read-only operands, and every
+// concurrently produced result must still equal the same kernel's
+// result on a pool of one bitwise. Run under -race (scripts/ci.sh does,
 // at both default GOMAXPROCS and GOMAXPROCS=2) these tests prove the
 // scheduler and the kernels share no mutable state across calls.
 package spmm_test
@@ -59,7 +59,7 @@ func hammer(t *testing.T, name string, want *dense.Matrix, fn func() *dense.Matr
 				for i, v := range got.Data {
 					if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
 						select {
-						case errs <- name + ": concurrent result diverges from serial reference":
+						case errs <- name + ": concurrent result diverges from the pool-of-one result":
 						default:
 						}
 						return
@@ -75,7 +75,7 @@ func hammer(t *testing.T, name string, want *dense.Matrix, fn func() *dense.Matr
 	}
 }
 
-// TestRaceParallelKernels hammers every parallel SpMM entry point.
+// TestRaceParallelKernels hammers every SpMM entry point on a shared pool.
 func TestRaceParallelKernels(t *testing.T) {
 	a, comp, resid, b := raceOperands(t)
 	// One pool shared by all callers, wider than GOMAXPROCS to force
@@ -83,17 +83,17 @@ func TestRaceParallelKernels(t *testing.T) {
 	pool := sched.New(4)
 
 	t.Run("csr", func(t *testing.T) {
-		want := spmm.CSRSerial(a, b)
-		hammer(t, "CSRPool", want, func() *dense.Matrix { return spmm.CSRPool(pool, a, b) })
+		want := spmm.CSR(sched.Serial(), nil, a, b)
+		hammer(t, "CSR", want, func() *dense.Matrix { return spmm.CSR(pool, nil, a, b) })
 	})
 	t.Run("vnm", func(t *testing.T) {
-		want := spmm.VNMSerial(comp, b)
-		hammer(t, "VNMPool", want, func() *dense.Matrix { return spmm.VNMPool(pool, comp, b) })
+		want := spmm.VNM(sched.Serial(), nil, comp, b)
+		hammer(t, "VNM", want, func() *dense.Matrix { return spmm.VNM(pool, nil, comp, b) })
 	})
 	t.Run("hybrid", func(t *testing.T) {
-		want := spmm.HybridSerial(comp, resid, b)
-		hammer(t, "HybridPool", want, func() *dense.Matrix {
-			return spmm.HybridPool(pool, comp, resid, b)
+		want := spmm.Hybrid(sched.Serial(), nil, nil, comp, resid, b)
+		hammer(t, "Hybrid", want, func() *dense.Matrix {
+			return spmm.Hybrid(pool, nil, nil, comp, resid, b)
 		})
 	})
 	t.Run("bsr", func(t *testing.T) {
@@ -101,8 +101,8 @@ func TestRaceParallelKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := spmm.BSRSerial(bm, b)
-		hammer(t, "BSRPool", want, func() *dense.Matrix { return spmm.BSRPool(pool, bm, b) })
+		want := spmm.BSR(sched.Serial(), bm, b)
+		hammer(t, "BSR", want, func() *dense.Matrix { return spmm.BSR(pool, bm, b) })
 	})
 }
 
@@ -114,7 +114,7 @@ func TestRaceSpMV(t *testing.T) {
 		x[i] = b.At(i, 0)
 	}
 	pool := sched.New(4)
-	want := spmm.SpMVSerial(a, x)
+	want := spmm.SpMV(sched.Serial(), a, x)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var fail bool
@@ -123,7 +123,7 @@ func TestRaceSpMV(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
-				got := spmm.SpMVPool(pool, a, x)
+				got := spmm.SpMV(pool, a, x)
 				for i := range got {
 					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 						mu.Lock()
@@ -137,7 +137,7 @@ func TestRaceSpMV(t *testing.T) {
 	}
 	wg.Wait()
 	if fail {
-		t.Error("concurrent SpMVPool diverges from SpMVSerial")
+		t.Error("concurrent SpMV diverges from its pool-of-one result")
 	}
 }
 
@@ -147,7 +147,7 @@ func TestRaceSpMV(t *testing.T) {
 func TestRaceTraceVNM(t *testing.T) {
 	_, comp, _, _ := raceOperands(t)
 	pool := sched.New(4)
-	want := spmm.TraceVNMPool(pool, comp)
+	want := spmm.TraceVNM(pool, comp)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var fail bool
@@ -156,7 +156,7 @@ func TestRaceTraceVNM(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
-				if spmm.TraceVNMPool(pool, comp) != want {
+				if spmm.TraceVNM(pool, comp) != want {
 					mu.Lock()
 					fail = true
 					mu.Unlock()
@@ -167,6 +167,6 @@ func TestRaceTraceVNM(t *testing.T) {
 	}
 	wg.Wait()
 	if fail {
-		t.Error("concurrent TraceVNMPool runs disagree")
+		t.Error("concurrent TraceVNM runs disagree")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/sched"
 	"repro/internal/sptc"
 	"repro/internal/venom"
 )
@@ -32,11 +33,11 @@ func weightedGraphCSR(n int, seed int64) *csr.Matrix {
 func TestCSRMatchesDense(t *testing.T) {
 	a := weightedGraphCSR(60, 1)
 	b := randomB(60, 17, 2)
-	want := Dense(a.ToDense(), b)
-	gotSerial := CSRSerial(a, b)
-	gotPar := CSR(a, b)
+	want := dense.MatMul(a.ToDense(), b)
+	gotSerial := CSR(sched.Serial(), nil, a, b)
+	gotPar := CSR(sched.Default(), nil, a, b)
 	if d := dense.MaxAbsDiff(want, gotSerial); d > 1e-4 {
-		t.Errorf("CSRSerial differs from dense by %v", d)
+		t.Errorf("CSR on a pool of one differs from dense by %v", d)
 	}
 	if d := dense.MaxAbsDiff(want, gotPar); d > 1e-4 {
 		t.Errorf("CSR differs from dense by %v", d)
@@ -61,8 +62,8 @@ func TestVNMMatchesCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := randomB(96, 33, 4)
-	want := CSR(a, b)
-	got := VNM(cm, b)
+	want := CSR(sched.Default(), nil, a, b)
+	got := VNM(sched.Default(), nil, cm, b)
 	if d := dense.MaxAbsDiff(want, got); d > 1e-4 {
 		t.Errorf("VNM differs from CSR by %v", d)
 	}
@@ -95,8 +96,8 @@ func TestVNMWithLargeV(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := randomB(n, 24, 6)
-	want := CSR(a, b)
-	got := VNM(cmz, b)
+	want := CSR(sched.Default(), nil, a, b)
+	got := VNM(sched.Default(), nil, cmz, b)
 	if d := dense.MaxAbsDiff(want, got); d > 1e-4 {
 		t.Errorf("VNM (V=8) differs from CSR by %v", d)
 	}
@@ -123,8 +124,8 @@ func TestReorderedSpMMEquivalence(t *testing.T) {
 	for i, old := range res.Perm {
 		copy(bPerm.Row(i), b.Row(old))
 	}
-	c := CSR(a, b)
-	cPerm := CSR(aPerm, bPerm)
+	c := CSR(sched.Default(), nil, a, b)
+	cPerm := CSR(sched.Default(), nil, aPerm, bPerm)
 	// cPerm[i] must equal c[perm[i]].
 	for i, old := range res.Perm {
 		for j := 0; j < 9; j++ {
@@ -140,7 +141,7 @@ func TestRunReports(t *testing.T) {
 	a := csr.FromGraph(g)
 	b := randomB(64, 16, 8)
 	cmodel := sptc.DefaultCostModel()
-	rep := RunCSR(a, b, cmodel)
+	rep := RunCSR(sched.Default(), a, b, cmodel)
 	if rep.Cycles <= 0 || rep.Kernel != "csr-cuda" || rep.C == nil {
 		t.Errorf("RunCSR report incomplete: %+v", rep)
 	}
@@ -155,7 +156,7 @@ func TestRunReports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		repV := RunVNM(cmp, b, cmodel)
+		repV := RunVNM(sched.Default(), cmp, b, cmodel)
 		if repV.Cycles <= 0 || repV.Kernel != "vnm-sptc" {
 			t.Errorf("RunVNM report incomplete: %+v", repV)
 		}
@@ -168,7 +169,7 @@ func TestEmptyMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := randomB(16, 4, 1)
-	c := CSR(a, b)
+	c := CSR(sched.Default(), nil, a, b)
 	for _, v := range c.Data {
 		if v != 0 {
 			t.Fatal("empty SpMM produced nonzero")
@@ -178,7 +179,7 @@ func TestEmptyMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv := VNM(cm, b)
+	cv := VNM(sched.Default(), nil, cm, b)
 	for _, v := range cv.Data {
 		if v != 0 {
 			t.Fatal("empty VNM SpMM produced nonzero")
@@ -210,7 +211,7 @@ func BenchmarkCSRSpMM(b *testing.B) {
 	x := randomB(2048, 128, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = CSR(a, x)
+		_ = CSR(sched.Default(), nil, a, x)
 	}
 }
 
@@ -219,6 +220,6 @@ func BenchmarkVNMSpMM(b *testing.B) {
 	x := randomB(2048, 128, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = VNM(cm, x)
+		_ = VNM(sched.Default(), nil, cm, x)
 	}
 }

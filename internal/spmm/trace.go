@@ -40,16 +40,11 @@ func (tr *Trace) merge(o Trace) {
 }
 
 // TraceVNM walks the compressed matrix exactly as the VNM kernel does
-// and tallies the executed operations. The walk is parallel over
-// block-row chunks with one private Trace per chunk, folded in chunk
-// order (ordered reduction), so the result is identical at every
+// and tallies the executed operations. The walk is parallel on pool p
+// over block-row chunks with one private Trace per chunk, folded in
+// chunk order (ordered reduction), so the result is identical at every
 // worker count.
-func TraceVNM(m *venom.Matrix) Trace {
-	return TraceVNMPool(sched.Default(), m)
-}
-
-// TraceVNMPool traces the compressed kernel on an explicit pool.
-func TraceVNMPool(p *sched.Pool, m *venom.Matrix) Trace {
+func TraceVNM(p *sched.Pool, m *venom.Matrix) Trace {
 	p.Obs().Counter("spmm/dispatch/trace_vnm").Inc()
 	blockRows := len(m.BlockRowPtr) - 1
 	chunks := sched.Chunks(blockRows, p.Workers()*4)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: vet, build, race-enabled tests, fuzz smoke, coverage floor.
+# CI gate: vet, gofmt, build, race-enabled tests, fuzz smoke, coverage floor.
 #
 # Usage: scripts/ci.sh [fuzztime]
 #   fuzztime   per-target fuzzing budget (default 5s; 0 skips fuzzing)
@@ -11,6 +11,14 @@ COVER_FLOOR=86   # percent, for internal/check
 
 echo "== go vet =="
 go vet ./...
+
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== kernel-package purity lint (no package-level vars) =="
 # The scheduler's determinism contract forbids mutable package-level

@@ -3,6 +3,7 @@ package sogre
 import (
 	"repro/internal/csr"
 	"repro/internal/dense"
+	"repro/internal/sched"
 	"repro/internal/spmm"
 	"repro/internal/sptc"
 	"repro/internal/venom"
@@ -49,16 +50,11 @@ func PruneToConform(a *CSRMatrix, p Pattern) (*CSRMatrix, venom.PruneStats, erro
 
 // SpMMCSR computes C = A x B with the row-parallel CSR kernel (the
 // cuSPARSE baseline stand-in).
-func SpMMCSR(a *CSRMatrix, b *Dense) *Dense { return spmm.CSR(a, b) }
-
-// SpMMCSRSerial computes C = A x B with the single-threaded CSR
-// reference kernel — the fixed-summation-order baseline the
-// differential equivalence checks (verify.go) compare against.
-func SpMMCSRSerial(a *CSRMatrix, b *Dense) *Dense { return spmm.CSRSerial(a, b) }
+func SpMMCSR(a *CSRMatrix, b *Dense) *Dense { return spmm.CSR(sched.Default(), nil, a, b) }
 
 // SpMMCompressed computes C = A x B over the compressed operand,
 // mirroring the SPTC execution structure.
-func SpMMCompressed(a *Compressed, b *Dense) *Dense { return spmm.VNM(a, b) }
+func SpMMCompressed(a *Compressed, b *Dense) *Dense { return spmm.VNM(sched.Default(), nil, a, b) }
 
 // CostModel is the calibrated cycle model of the GPU execution engines
 // (CUDA-core CSR, dense tensor cores, sparse tensor cores).
@@ -74,22 +70,22 @@ type KernelReport = spmm.Report
 
 // RunSpMMCSR executes and reports the baseline kernel.
 func RunSpMMCSR(a *CSRMatrix, b *Dense, cm CostModel) KernelReport {
-	return spmm.RunCSR(a, b, cm)
+	return spmm.RunCSR(sched.Default(), a, b, cm)
 }
 
 // RunSpMMCompressed executes and reports the SPTC kernel.
 func RunSpMMCompressed(a *Compressed, b *Dense, cm CostModel) KernelReport {
-	return spmm.RunVNM(a, b, cm)
+	return spmm.RunVNM(sched.Default(), a, b, cm)
 }
 
 // Plan is a prepared sparse x dense matmul in the cusparseLt / Spatha
 // style: describe and compress once, execute many times.
-type Plan = sptc.Plan
+type Plan = spmm.Plan
 
 // NewPlan compresses the sparse operand for repeated SPTC execution.
 // Strict mode (hybrid = false) requires pattern conformity, exactly
 // like cusparseLt compression; hybrid mode routes non-conforming
 // entries through a CSR residual, staying lossless on any input.
 func NewPlan(a *CSRMatrix, p Pattern, cm CostModel, hybrid bool) (*Plan, error) {
-	return sptc.NewPlan(a, p, cm, hybrid)
+	return spmm.NewPlan(sched.Default(), a, p, cm, hybrid)
 }
