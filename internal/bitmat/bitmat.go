@@ -89,6 +89,20 @@ func (m *Matrix) RowNNZ(i int) int {
 	return total
 }
 
+// AppendRow appends the column indices of row i's set bits to dst in
+// ascending order and returns the extended slice. It walks the row
+// word by word and skips zero words, so a sparse row costs its word
+// count plus its population, not n Get calls.
+func (m *Matrix) AppendRow(dst []int32, i int) []int32 {
+	for wi, w := range m.Row(i) {
+		for w != 0 {
+			dst = append(dst, int32(wi*wordBits+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
 // Density returns NNZ / n².
 func (m *Matrix) Density() float64 {
 	if m.n == 0 {

@@ -3,8 +3,10 @@ package check
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"sync"
 
+	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/resil"
 	"repro/internal/sched"
@@ -224,4 +226,104 @@ func ServeEquivalence(g *graph.Graph, ecfg serve.EngineConfig, script serve.Scri
 		return err
 	}
 	return bitwiseResponses("fault replay", b, a)
+}
+
+// EpochCoverage counts what a mutation stream exercised in
+// EpochEquivalence, so a caller can assert its stream reached every
+// epoch path: a patched epoch, a delete, an insert cancelled by a
+// delete in the same batch, repair swaps and a staleness rebuild.
+type EpochCoverage struct {
+	Patched     int // batches that changed edges without moving the permutation
+	Deletes     int // accepted deletes
+	Cancelled   int // accepted deletes of an edge inserted earlier in the same batch
+	RepairSwaps int
+	Rebuilds    int
+}
+
+// EpochEquivalence is the differential oracle for dirty-row epoch
+// patching (DESIGN.md §15). For each worker count a mutable engine
+// built from (g, ecfg) applies the batches one by one. After every
+// batch it answers a probe of every node, and the answers must match,
+// bitwise and at the same epoch, those of a from-scratch engine built
+// from its snapshot (Snapshot → RestoreEngine). The probe before each
+// batch warms the row cache, which is widened to hold every row, so a
+// row the patch failed to recompute or evict shows as a stale answer.
+// Both engines are probed after WaitWarm: the post-rebuild CSR window
+// is timing-dependent by design. Coverage is counted on the first
+// worker count's run. dir holds the snapshot scratch files.
+func EpochEquivalence(g *graph.Graph, ecfg serve.EngineConfig, batches [][]dyn.Mutation, dir string, workers []int) (EpochCoverage, error) {
+	if workers == nil {
+		workers = WorkerCounts()
+	}
+	n := g.N()
+	ecfg.Mutable = true
+	if ecfg.CacheRows < n {
+		ecfg.CacheRows = n
+	}
+	probe := probeScript(n)
+	var cov EpochCoverage
+	for wi, w := range workers {
+		c := ecfg
+		c.Workers = w
+		eng, err := serve.NewEngine(g, c)
+		if err != nil {
+			return cov, fmt.Errorf("check: epoch workers=%d: %w", w, err)
+		}
+		// Reuse the reordering across worker counts (bit-deterministic,
+		// DESIGN.md §8) — a speedup, not a weakening.
+		ecfg.Perm = eng.Perm()
+		serveResponses(eng, probe)
+		path := filepath.Join(dir, fmt.Sprintf("epoch-w%d.snapshot", w))
+		for i, b := range batches {
+			out, err := eng.Mutate(b)
+			if err != nil {
+				return cov, fmt.Errorf("check: epoch workers=%d batch %d: %w", w, i, err)
+			}
+			if wi == 0 {
+				cov.count(out.Batch)
+			}
+			eng.WaitWarm()
+			got := serveResponses(eng, probe)
+			if err := eng.Snapshot(path); err != nil {
+				return cov, fmt.Errorf("check: epoch workers=%d batch %d snapshot: %w", w, i, err)
+			}
+			rc := c
+			rc.Perm, rc.Mutable = nil, false
+			fresh, err := serve.RestoreEngine(path, rc)
+			if err != nil {
+				return cov, fmt.Errorf("check: epoch workers=%d batch %d restore: %w", w, i, err)
+			}
+			if fresh.Epoch() != eng.Epoch() {
+				return cov, fmt.Errorf("check: epoch workers=%d batch %d: restored epoch %d, want %d", w, i, fresh.Epoch(), eng.Epoch())
+			}
+			label := fmt.Sprintf("epoch workers=%d batch %d", w, i)
+			if err := bitwiseResponses(label, got, serveResponses(fresh, probe)); err != nil {
+				return cov, err
+			}
+		}
+	}
+	return cov, nil
+}
+
+// count adds one batch outcome to the coverage tally.
+func (c *EpochCoverage) count(out dyn.BatchOutcome) {
+	c.RepairSwaps += out.RepairSwaps
+	if out.Rebuilt {
+		c.Rebuilds++
+	}
+	if out.Applied > 0 && out.RepairSwaps == 0 && !out.Rebuilt {
+		c.Patched++
+	}
+	inserted := make(map[[2]int]bool)
+	for _, m := range out.Accepted {
+		key := [2]int{min(m.U, m.V), max(m.U, m.V)}
+		if m.Op == dyn.OpInsert {
+			inserted[key] = true
+			continue
+		}
+		c.Deletes++
+		if inserted[key] {
+			c.Cancelled++
+		}
+	}
 }

@@ -3,6 +3,8 @@ package check
 import (
 	"testing"
 
+	"repro/internal/datasets"
+	"repro/internal/dyn"
 	"repro/internal/graph"
 	"repro/internal/serve"
 )
@@ -132,4 +134,113 @@ func TestServeResponseComparators(t *testing.T) {
 	if err := toleranceResponses("far", embed(2), ref, 0.01); err == nil {
 		t.Fatal("toleranceResponses missed an out-of-bound delta")
 	}
+}
+
+// epochStream splits a seeded mutation stream into batches of four and
+// appends to every other batch an insert followed by a delete of the
+// same vertex pair — a net no-op when the edge was absent.
+func epochStream(g *graph.Graph, nBatches int, seed int64) [][]dyn.Mutation {
+	st := dyn.GenerateStream(g, 4*nBatches, seed)
+	n := g.N()
+	var out [][]dyn.Mutation
+	for i := 0; i < nBatches; i++ {
+		b := append([]dyn.Mutation(nil), st.Ops[4*i:4*i+4]...)
+		if i%2 == 1 {
+			u, v := i%n, (7*i+3)%n
+			b = append(b, dyn.Mutation{Op: dyn.OpInsert, U: u, V: v}, dyn.Mutation{Op: dyn.OpDelete, U: u, V: v})
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestEpochEquivalence: patched epochs answer every node bit-identically
+// to a from-scratch engine after every batch, at workers {1, 2, 4},
+// Hops {1, 2, 3}, in ModeCSR and ModeHybrid. The ER graph is large
+// enough that balls stay partial (patches and repairs under the default
+// budget); the community graph under an impossibly small budget forces
+// staleness rebuilds, so the rebuild-every-row path runs too.
+func TestEpochEquivalence(t *testing.T) {
+	community, err := datasets.Family("community", 40, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		budget float64
+	}{
+		{"er", serveTestGraph(t, 256), 0},
+		{"community-rebuild", community, 1e-12},
+	}
+	var total EpochCoverage
+	for _, c := range cases {
+		batches := epochStream(c.g, 10, 5)
+		for _, hops := range []int{1, 2, 3} {
+			for _, mode := range []serve.Mode{serve.ModeCSR, serve.ModeHybrid} {
+				ecfg := serve.EngineConfig{Seed: 7, ShardRows: 32, Mode: mode, Hops: hops, StalenessBudget: c.budget}
+				cov, err := EpochEquivalence(c.g, ecfg, batches, t.TempDir(), []int{1, 2, 4})
+				if err != nil {
+					t.Fatalf("%s hops=%d mode=%s: %v", c.name, hops, mode, err)
+				}
+				t.Logf("%s hops=%d mode=%s: %+v", c.name, hops, mode, cov)
+				total.Patched += cov.Patched
+				total.Deletes += cov.Deletes
+				total.Cancelled += cov.Cancelled
+				total.RepairSwaps += cov.RepairSwaps
+				total.Rebuilds += cov.Rebuilds
+			}
+		}
+	}
+	if total.Patched == 0 || total.Deletes == 0 || total.Cancelled == 0 || total.RepairSwaps == 0 || total.Rebuilds == 0 {
+		t.Fatalf("stream missed an epoch path: %+v", total)
+	}
+}
+
+// FuzzEpochPatch drives arbitrary small graphs and mutation batches
+// through EpochEquivalence. The first byte picks the configuration —
+// Hops 1..3, CSR or hybrid dispatch, the default or an impossibly small
+// staleness budget, batches of 1..4 ops — and the rest decodes as in
+// FuzzIncrementalVsScratch: a graph, then mutation triples.
+func FuzzEpochPatch(f *testing.F) {
+	f.Add([]byte{0, 4, 2, 0, 1, 1, 2, 0, 2, 3, 1, 2, 3})
+	f.Add([]byte{10, 1, 0, 0, 0, 0})
+	for ri, reg := range Regimes() {
+		if ri >= 4 {
+			break
+		}
+		g := reg.RandomGraph(14, int64(ri))
+		st := dyn.GenerateStream(g, 8, int64(ri))
+		for _, cfg := range []byte{byte(ri), byte(3*ri + 19)} {
+			f.Add(append([]byte{cfg}, encodeDynCorpus(g, st)...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		c := data[0]
+		g, st := dynCorpusFromBytes(data[1:])
+		if g.N() == 0 {
+			return // an engine needs a vertex
+		}
+		if len(st.Ops) > 16 {
+			st.Ops = st.Ops[:16] // bound per-iteration oracle cost
+		}
+		ecfg := serve.EngineConfig{Seed: 3, ShardRows: 8, Hops: 1 + int(c%3), Mode: serve.ModeCSR}
+		if c/3%2 == 1 {
+			ecfg.Mode = serve.ModeHybrid
+		}
+		if c/6%2 == 1 {
+			ecfg.StalenessBudget = 1e-12
+		}
+		size := 1 + int(c/12%4)
+		var batches [][]dyn.Mutation
+		for lo := 0; lo < len(st.Ops); lo += size {
+			batches = append(batches, st.Ops[lo:min(lo+size, len(st.Ops))])
+		}
+		if _, err := EpochEquivalence(g, ecfg, batches, t.TempDir(), []int{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -145,13 +145,15 @@ func FromBitMatrix(b *bitmat.Matrix) *Matrix {
 	n := b.N()
 	m := &Matrix{N: n, RowPtr: make([]int32, n+1)}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if b.Get(i, j) {
-				m.ColIdx = append(m.ColIdx, int32(j))
-				m.Val = append(m.Val, 1)
-			}
-		}
-		m.RowPtr[i+1] = int32(len(m.ColIdx))
+		m.RowPtr[i+1] = m.RowPtr[i] + int32(b.RowNNZ(i))
+	}
+	m.ColIdx = make([]int32, m.RowPtr[n])
+	m.Val = make([]float32, m.RowPtr[n])
+	for i := 0; i < n; i++ {
+		b.AppendRow(m.ColIdx[m.RowPtr[i]:m.RowPtr[i]], i)
+	}
+	for k := range m.Val {
+		m.Val[k] = 1
 	}
 	return m
 }
@@ -286,6 +288,97 @@ func SymNormalized(g *graph.Graph) *Matrix {
 		m.RowPtr[u+1] = int32(len(m.ColIdx))
 	}
 	return m
+}
+
+// SymNormalizedRows returns SymNormalized of the graph whose adjacency
+// is b, rebuilding only the given rows (ascending, distinct) from b and
+// copying every other row from old. old must already hold those other
+// rows exactly — true when the rebuilt set covers every row whose
+// neighborhood or neighbor degrees changed, i.e. the closed
+// neighborhoods of every changed vertex. Rebuilding every row needs no
+// old rows (old may be nil). old is never written, so readers of it
+// stay valid. The result is a new matrix whose arrays have exactly the
+// result's lengths; when into is non-nil (and not old) they reuse its
+// storage where its capacity suffices, so into must have no readers.
+//
+// A row of D^{-1/2}(A+I)D^{-1/2} holds the neighbors plus the diagonal,
+// so its length is the degree the normalization divides by; each
+// value is float32(1/√deg u)·float32(1/√deg v), as in SymNormalized,
+// and the rebuilt rows are bit-identical to it.
+func SymNormalizedRows(into, old *Matrix, b *bitmat.Matrix, rows []int) *Matrix {
+	n := b.N()
+	// The rebuilt rows' columns first, diagonal merged in: their
+	// lengths size the result exactly.
+	var cols []int32
+	ends := make([]int, len(rows))
+	for k, u := range rows {
+		start := len(cols)
+		cols = b.AppendRow(cols, u)
+		if !b.Get(u, u) {
+			row := cols[start:]
+			at := start + sort.Search(len(row), func(k int) bool { return row[k] > int32(u) })
+			cols = append(cols, 0)
+			copy(cols[at+1:], cols[at:])
+			cols[at] = int32(u)
+		}
+		ends[k] = len(cols)
+	}
+	var store Matrix
+	if into != nil {
+		store = *into
+	}
+	m := &Matrix{N: n, RowPtr: grow(store.RowPtr, n+1)}
+	m.RowPtr[0] = 0
+	// keep shifts the untouched run [lo, hi) of old's row pointers to
+	// where the run starts in m.
+	keep := func(lo, hi int) {
+		if lo < hi {
+			off := m.RowPtr[lo] - old.RowPtr[lo]
+			for i := lo; i < hi; i++ {
+				m.RowPtr[i+1] = old.RowPtr[i+1] + off
+			}
+		}
+	}
+	lo, start := 0, 0
+	for k, u := range rows {
+		keep(lo, u)
+		m.RowPtr[u+1] = m.RowPtr[u] + int32(ends[k]-start)
+		lo, start = u+1, ends[k]
+	}
+	keep(lo, n)
+
+	m.ColIdx = grow(store.ColIdx, int(m.RowPtr[n]))
+	m.Val = grow(store.Val, int(m.RowPtr[n]))
+	scale := func(v int32) float32 { return float32(1 / math.Sqrt(float64(m.RowNNZ(int(v))))) }
+	splice := func(lo, hi int) {
+		if lo < hi {
+			copy(m.ColIdx[m.RowPtr[lo]:], old.ColIdx[old.RowPtr[lo]:old.RowPtr[hi]])
+			copy(m.Val[m.RowPtr[lo]:], old.Val[old.RowPtr[lo]:old.RowPtr[hi]])
+		}
+	}
+	lo, start = 0, 0
+	for k, u := range rows {
+		splice(lo, u)
+		row := cols[start:ends[k]]
+		copy(m.ColIdx[m.RowPtr[u]:], row)
+		su := scale(int32(u))
+		vals := m.Val[m.RowPtr[u]:m.RowPtr[u+1]]
+		for j, v := range row {
+			vals[j] = su * scale(v)
+		}
+		lo, start = u+1, ends[k]
+	}
+	splice(lo, n)
+	return m
+}
+
+// grow returns s resliced to length n when its capacity allows, else a
+// fresh slice of exactly n. Callers overwrite every element.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // RowNormalized returns D^{-1} A (mean aggregation, GraphSAGE style).

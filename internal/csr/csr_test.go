@@ -1,10 +1,13 @@
 package csr
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/bitmat"
 	"repro/internal/graph"
 )
 
@@ -223,5 +226,173 @@ func BenchmarkTranspose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Transpose()
+	}
+}
+
+// bitMatrixCases are the word-boundary shapes the word-skipping
+// conversions must get right: empty, one vertex, one bit short of a
+// word, exactly one word, one bit over, two words plus a partial one.
+// Each case sets a self-loop, empty rows and a full last word.
+func bitMatrixCases() []*bitmat.Matrix {
+	var out []*bitmat.Matrix
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		b := bitmat.New(n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for i := 0; i < n; i++ {
+			if i%5 == 3 {
+				continue // empty row
+			}
+			for j := 0; j < n; j++ {
+				if rng.Intn(4) == 0 {
+					b.Set(i, j)
+				}
+			}
+		}
+		if n > 0 {
+			b.Set(0, 0) // self-loop
+			for j := (n - 1) / 64 * 64; j < n; j++ {
+				b.Set(n-1, j) // full last word of the last row
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestFromBitMatrixMatchesGetLoop checks the word-skipping conversion
+// against a plain Get-loop reference, column order and exact sizes
+// included.
+func TestFromBitMatrixMatchesGetLoop(t *testing.T) {
+	for _, b := range bitMatrixCases() {
+		n := b.N()
+		ref := &Matrix{N: n, RowPtr: make([]int32, n+1)}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if b.Get(i, j) {
+					ref.ColIdx = append(ref.ColIdx, int32(j))
+					ref.Val = append(ref.Val, 1)
+				}
+			}
+			ref.RowPtr[i+1] = int32(len(ref.ColIdx))
+		}
+		got := FromBitMatrix(b)
+		if got.N != n || len(got.ColIdx) != cap(got.ColIdx) || len(got.Val) != cap(got.Val) {
+			t.Fatalf("n=%d: shape N=%d, cols %d/%d, vals %d/%d", n, got.N,
+				len(got.ColIdx), cap(got.ColIdx), len(got.Val), cap(got.Val))
+		}
+		for i := 0; i <= n; i++ {
+			if got.RowPtr[i] != ref.RowPtr[i] {
+				t.Fatalf("n=%d: RowPtr[%d] = %d, want %d", n, i, got.RowPtr[i], ref.RowPtr[i])
+			}
+		}
+		for k := range ref.ColIdx {
+			if got.ColIdx[k] != ref.ColIdx[k] || got.Val[k] != 1 {
+				t.Fatalf("n=%d: entry %d = (%d, %v), want (%d, 1)", n, k, got.ColIdx[k], got.Val[k], ref.ColIdx[k])
+			}
+		}
+		g := graph.FromBitMatrix(b)
+		for i := 0; i < n; i++ {
+			nbrs := g.Neighbors(i)
+			cols, _ := ref.Row(i)
+			if len(nbrs) != len(cols) {
+				t.Fatalf("n=%d: graph row %d has %d neighbors, want %d", n, i, len(nbrs), len(cols))
+			}
+			for k := range cols {
+				if nbrs[k] != cols[k] {
+					t.Fatalf("n=%d: graph row %d neighbor %d = %d, want %d", n, i, k, nbrs[k], cols[k])
+				}
+			}
+		}
+	}
+}
+
+// bitwiseCSR reports the first difference between two CSR matrices,
+// values compared by their bits.
+func bitwiseCSR(a, b *Matrix) string {
+	if a.N != b.N || len(a.ColIdx) != len(b.ColIdx) || len(a.Val) != len(b.Val) {
+		return fmt.Sprintf("shape %d/%d/%d vs %d/%d/%d", a.N, len(a.ColIdx), len(a.Val), b.N, len(b.ColIdx), len(b.Val))
+	}
+	for i := range a.RowPtr {
+		if a.RowPtr[i] != b.RowPtr[i] {
+			return fmt.Sprintf("RowPtr[%d] %d vs %d", i, a.RowPtr[i], b.RowPtr[i])
+		}
+	}
+	for k := range a.ColIdx {
+		if a.ColIdx[k] != b.ColIdx[k] || math.Float32bits(a.Val[k]) != math.Float32bits(b.Val[k]) {
+			return fmt.Sprintf("entry %d (%d, %v) vs (%d, %v)", k, a.ColIdx[k], a.Val[k], b.ColIdx[k], b.Val[k])
+		}
+	}
+	return ""
+}
+
+// TestSymNormalizedRows: rebuilding every row reproduces SymNormalized
+// bit for bit, and after a run of symmetric edge flips, patching just
+// the closed neighborhoods of the flipped endpoints (old and new
+// adjacency) into a retired matrix's storage matches a full rebuild of
+// the flipped matrix, leaving the old matrix untouched.
+func TestSymNormalizedRows(t *testing.T) {
+	for _, b := range bitMatrixCases() {
+		n := b.N()
+		sym := b.Clone()
+		for i := 0; i < n; i++ {
+			for _, j := range b.AppendRow(nil, i) {
+				sym.Set(int(j), i)
+			}
+		}
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		full := SymNormalizedRows(nil, nil, sym, all)
+		if d := bitwiseCSR(full, SymNormalized(graph.FromBitMatrix(sym))); d != "" {
+			t.Fatalf("n=%d: full rebuild differs from SymNormalized: %s", n, d)
+		}
+		if n == 0 {
+			continue
+		}
+		rng := rand.New(rand.NewSource(int64(n) + 7))
+		cur, a := sym, full
+		var spare *Matrix // a retired result whose storage the next patch reuses
+		for step := 0; step < 8; step++ {
+			next := cur.Clone()
+			dirty := make(map[int]bool)
+			for f := 0; f < 1+step%3; f++ {
+				i, j := rng.Intn(n), rng.Intn(n)
+				for _, m := range []*bitmat.Matrix{cur, next} {
+					for _, p := range []int{i, j} {
+						dirty[p] = true
+						for _, q := range m.AppendRow(nil, p) {
+							dirty[int(q)] = true
+						}
+					}
+				}
+				if next.Get(i, j) {
+					next.Clear(i, j)
+					next.Clear(j, i)
+				} else {
+					next.Set(i, j)
+					next.Set(j, i)
+				}
+				for _, p := range []int{i, j} {
+					for _, q := range next.AppendRow(nil, p) {
+						dirty[int(q)] = true
+					}
+				}
+			}
+			rows := make([]int, 0, len(dirty))
+			for p := range dirty {
+				rows = append(rows, p)
+			}
+			sort.Ints(rows)
+			before := a.Clone()
+			patched := SymNormalizedRows(spare, a, next, rows)
+			if d := bitwiseCSR(patched, SymNormalizedRows(nil, nil, next, all)); d != "" {
+				t.Fatalf("n=%d step %d: patch differs from full rebuild: %s", n, step, d)
+			}
+			if d := bitwiseCSR(a, before); d != "" {
+				t.Fatalf("n=%d step %d: patch wrote the old matrix: %s", n, step, d)
+			}
+			cur, a, spare = next, patched, a
+		}
 	}
 }

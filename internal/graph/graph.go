@@ -230,13 +230,7 @@ func FromBitMatrix(m *bitmat.Matrix) *Graph {
 	g.colIdx = make([]int32, total)
 	bitmat.ParallelRows(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			pos := g.rowPtr[i]
-			for j := 0; j < n; j++ {
-				if m.Get(i, j) {
-					g.colIdx[pos] = int32(j)
-					pos++
-				}
-			}
+			m.AppendRow(g.colIdx[g.rowPtr[i]:g.rowPtr[i]], i)
 		}
 	})
 	return g

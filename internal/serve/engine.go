@@ -83,13 +83,16 @@ type EngineConfig struct {
 	// deterministic/volatile split). Nil disables instrumentation.
 	Obs *obs.Registry
 	// Inj fires fault sites ("serve/shard" at shard builds,
-	// "serve/batch" at coalesced dispatches). Nil disables injection.
+	// "serve/batch" at coalesced dispatches, "serve/epoch" between a
+	// mutation batch's apply and its epoch swap). Nil disables
+	// injection.
 	Inj *resil.Injector
 
 	// Mutable wraps the reordered matrix in a dyn.Mutable so the
 	// engine accepts online edge mutations through Mutate (DESIGN.md
 	// §15). Costs one extra matrix clone plus the n×FeatureDim seeded
-	// feature matrix kept resident for epoch rebuilds.
+	// feature matrix (and, for Hops > 2, the Hops-2 intermediate hops)
+	// kept resident for epoch patches.
 	Mutable bool
 	// StalenessBudget is the dyn rebuild trigger for mutable engines
 	// (zero = dyn.DefaultStalenessBudget); ignored when !Mutable.
@@ -203,10 +206,12 @@ type Engine struct {
 	muMut     sync.Mutex
 	dyn       *dyn.Mutable
 	epoch     uint64
-	x0        *dense.Matrix // seeded features in ORIGINAL numbering
-	mpool     *sched.Pool   // dedicated pool for off-lock epoch builds
-	csrWindow bool          // post-rebuild degraded window (CSR dispatch)
-	warming   bool          // background handle warmer running
+	x0        *dense.Matrix   // seeded features in ORIGINAL numbering
+	mid       []*dense.Matrix // Â^k · X for k = 1..Hops-2, patched per epoch
+	spare     *csr.Matrix     // a retired Â no reader can still hold; the next epoch's Â reuses its storage
+	stale     bool            // a failed epoch left Â/rhs behind dyn: rebuild every row
+	csrWindow bool            // post-rebuild degraded window (CSR dispatch)
+	warming   bool            // background handle warmer running
 }
 
 // NewEngine loads graph g: reorder (or adopt cfg.Perm), apply the
@@ -280,7 +285,11 @@ func NewEngine(g *graph.Graph, cfg EngineConfig) (*Engine, error) {
 	for pos := 0; pos < n; pos++ {
 		copy(rhs.Row(pos), x.Row(perm[pos]))
 	}
+	var mid []*dense.Matrix // the intermediate hops a mutable engine patches
 	for hop := 1; hop < cfg.Hops; hop++ {
+		if hop > 1 && cfg.Mutable {
+			mid = append(mid, rhs)
+		}
 		rhs = spmm.CSR(pool, nil, a, rhs)
 	}
 	head := dense.NewMatrix(cfg.FeatureDim, cfg.Classes)
@@ -329,7 +338,7 @@ func NewEngine(g *graph.Graph, cfg EngineConfig) (*Engine, error) {
 		}
 		e.dyn = d
 		e.x0 = x
-		e.mpool = sched.New(cfg.Workers)
+		e.mid = mid
 	}
 	if cfg.Mode == ModeAuto {
 		e.planner = &plan.Planner{Calib: cfg.Calib}
@@ -414,9 +423,10 @@ func (e *Engine) ValidateRequest(r *Request) error {
 func (e *Engine) shardOf(pos int) int { return pos / e.cfg.ShardRows }
 
 // bandCSR embeds shard s's row band of a as a square n-by-n CSR
-// sharing a's column/value storage (rows outside the band empty) — a
-// pure function, so the background warmer can build handles off-lock
-// from a captured Â.
+// (rows outside the band empty) — a pure function, so the background
+// warmer can build handles off-lock from a captured Â. The band's
+// columns and values are copied, never aliased: Mutate recycles the
+// storage of a retired Â, so a handle must not point into it.
 func bandCSR(a *csr.Matrix, n, shardRows, s int) *csr.Matrix {
 	lo := s * shardRows
 	hi := lo + shardRows
@@ -434,8 +444,8 @@ func bandCSR(a *csr.Matrix, n, shardRows, s int) *csr.Matrix {
 	return &csr.Matrix{
 		N:      n,
 		RowPtr: rp,
-		ColIdx: a.ColIdx[base:a.RowPtr[hi]],
-		Val:    a.Val[base:a.RowPtr[hi]],
+		ColIdx: append([]int32(nil), a.ColIdx[base:a.RowPtr[hi]]...),
+		Val:    append([]float32(nil), a.Val[base:a.RowPtr[hi]]...),
 	}
 }
 
@@ -450,9 +460,8 @@ func (e *Engine) shardBounds(s int) (lo, hi int) {
 }
 
 // buildShard constructs shard s's dispatch handle: the band embedded
-// as a square CSR sharing Â's column/value storage, plus the V:N:M
-// split unless the mode (or the rung-1 fallback) is CSR-only. The
-// injector's "serve/shard" site fires here: a straggler delays the
+// as a square CSR, plus the V:N:M split unless the mode (or the rung-1
+// fallback) is CSR-only. The injector's "serve/shard" site fires here: a straggler delays the
 // build; a crash or transient event — like a genuine split or
 // metadata-validation failure — trips the sticky SPTC→CSR fallback
 // for this shard (degradation rung 1, mirroring gnn.ValidateOperator).
@@ -648,7 +657,10 @@ func (e *Engine) resolveRows(positions []int) map[int][]float32 {
 					rows[positions[k]] = append([]float32(nil), y.Row(positions[k])...)
 				}
 			}
-			if e.cfg.CacheRows > 0 {
+			// Rows dispatched inside the post-rebuild CSR window carry
+			// CSR bits the warmed hybrid handles will not reproduce, so
+			// they stay out of the cache, like degraded rows.
+			if e.cfg.CacheRows > 0 && !e.csrWindow {
 				lo, hi := e.shardBounds(s)
 				if hi-lo > e.cfg.CacheRows {
 					// The band is larger than the whole cache: filling it

@@ -8,6 +8,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/dyn"
 	"repro/internal/graph"
+	"repro/internal/resil"
 )
 
 // mutableEngine builds the shared mutable fixture.
@@ -287,5 +288,82 @@ func TestSnapshotMismatchField(t *testing.T) {
 		if !errors.Is(err, ErrSnapshot) {
 			t.Fatalf("%s: detail does not unwrap to ErrSnapshot", c.field)
 		}
+	}
+}
+
+// TestMutateFailedEpochRebuildsAll: a batch that dies between
+// ApplyBatch and the epoch swap (an injected crash at "serve/epoch")
+// leaves dyn's bit matrix ahead of Â and the right-hand side. The next
+// batch must rebuild every row rather than patch, so its answers — and
+// every later batch's — match a fresh engine over the mutated graph
+// bit for bit, with the row cache warm throughout.
+func TestMutateFailedEpochRebuildsAll(t *testing.T) {
+	for _, mode := range []Mode{ModeCSR, ModeHybrid} {
+		g := testGraph(t, 256)
+		plan, err := resil.ParsePlan("crash@serve/epoch:2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := EngineConfig{Seed: 7, ShardRows: 64, CacheRows: 1 << 20, Mode: mode}
+		live := cfg
+		live.Inj = resil.NewInjector(plan, nil)
+		e := mutableEngine(t, g, live)
+		reqs := coverageRequests(256)
+		for i, b := range batches(dyn.GenerateStream(g, 24, 13), 4) {
+			e.ServeBatch(reqs, false)
+			err := resil.Protect(func() error {
+				_, err := e.Mutate(b)
+				return err
+			})
+			var crash *resil.CrashError
+			if i == 1 {
+				if !errors.As(err, &crash) {
+					t.Fatalf("mode %s batch 1: want the injected crash, got %v", mode, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("mode %s batch %d: %v", mode, i, err)
+			}
+			e.WaitWarm()
+			twin := mutatedTwin(t, e, cfg)
+			if !bitEqualResponses(twin.ServeBatch(reqs, false), e.ServeBatch(reqs, false)) {
+				t.Fatalf("mode %s batch %d: engine diverged from a fresh engine after the failed epoch", mode, i)
+			}
+		}
+	}
+}
+
+// TestMutateWindowReadsStayUncached: rows read inside the post-rebuild
+// CSR window carry CSR bits, so they must not outlive the window in the
+// row cache — after WaitWarm every answer matches a fresh hybrid engine.
+func TestMutateWindowReadsStayUncached(t *testing.T) {
+	g, err := datasets.Family("community", 40, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := coverageRequests(g.N())
+	cfg := EngineConfig{Seed: 7, ShardRows: 64, CacheRows: 1 << 20, Mode: ModeHybrid, StalenessBudget: 1e-12}
+	e := mutableEngine(t, g, cfg)
+	windows := 0
+	for _, b := range batches(dyn.GenerateStream(g, 48, 19), 8) {
+		if _, err := e.Mutate(b); err != nil {
+			t.Fatal(err)
+		}
+		e.mu.Lock()
+		inWindow := e.csrWindow
+		e.mu.Unlock()
+		e.ServeBatch(reqs, false) // likely still inside the window
+		if inWindow {
+			windows++
+		}
+		e.WaitWarm()
+		twin := mutatedTwin(t, e, EngineConfig{Seed: 7, ShardRows: 64, Mode: ModeHybrid})
+		if !bitEqualResponses(twin.ServeBatch(reqs, false), e.ServeBatch(reqs, false)) {
+			t.Fatal("a row cached inside the CSR window outlived it")
+		}
+	}
+	if windows == 0 {
+		t.Log("no read landed inside a CSR window this run")
 	}
 }

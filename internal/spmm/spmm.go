@@ -96,6 +96,20 @@ func CSR(p *sched.Pool, c *dense.Matrix, a *csr.Matrix, b *dense.Matrix) *dense.
 	return c
 }
 
+// CSRRow computes row i of A x B into dst, reading row j of B as
+// b(j): dst is zeroed, then receives A[i][j]·B[j] for each stored j in
+// column order through the same axpy as CSR's tile body. Every output
+// element therefore accumulates the same terms in the same order, and
+// a row recomputed alone is bit-identical to that row of CSR — how an
+// incremental update patches only the rows an edit touched.
+func CSRRow(dst []float32, a *csr.Matrix, i int, b func(j int32) []float32) {
+	clear(dst)
+	cols, vals := a.Row(i)
+	for k, col := range cols {
+		axpy(dst, b(col), vals[k])
+	}
+}
+
 // VNM computes C = A x B over the V:N:M compressed representation
 // into c (nil allocates), mirroring the SPTC execution structure:
 // block rows in parallel (one warp each), tiled by their stored-slot

@@ -1,6 +1,7 @@
 package spmm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -41,6 +42,27 @@ func TestCSRMatchesDense(t *testing.T) {
 	}
 	if d := dense.MaxAbsDiff(want, gotPar); d > 1e-4 {
 		t.Errorf("CSR differs from dense by %v", d)
+	}
+}
+
+// TestCSRRowBitIdentical: a row recomputed alone by CSRRow has exactly
+// the bits of the same row of the tiled CSR kernel, at widths that
+// split rows across column tiles and on a multi-worker pool.
+func TestCSRRowBitIdentical(t *testing.T) {
+	a := weightedGraphCSR(300, 3)
+	for _, h := range []int{1, 7, 64} {
+		b := randomB(300, h, 4)
+		want := CSR(sched.New(4), nil, a, b)
+		dst := make([]float32, h)
+		for i := 0; i < a.N; i++ {
+			dst[0] = 42 // stale contents must be overwritten
+			CSRRow(dst, a, i, func(j int32) []float32 { return b.Row(int(j)) })
+			for k, v := range want.Row(i) {
+				if math.Float32bits(dst[k]) != math.Float32bits(v) {
+					t.Fatalf("h=%d row %d col %d: %v, want %v", h, i, k, dst[k], v)
+				}
+			}
+		}
 	}
 }
 

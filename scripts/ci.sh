@@ -58,7 +58,8 @@ if [ "$FUZZTIME" != "0" ]; then
                   FuzzMatrixMarketRoundTrip FuzzReorderLargeParallelSerial \
                   FuzzFaultPlanParse FuzzCalibrationParse \
                   FuzzMutationStreamParse FuzzIncrementalVsScratch \
-                  FuzzServeRequestParse FuzzShardFormat FuzzWALReplay; do
+                  FuzzServeRequestParse FuzzShardFormat FuzzWALReplay \
+                  FuzzEpochPatch; do
         echo "-- $target"
         go test ./internal/check/ -run "^$target\$" -fuzz "^$target\$" \
             -fuzztime "$FUZZTIME"
