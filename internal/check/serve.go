@@ -248,8 +248,8 @@ type EpochCoverage struct {
 // from its snapshot (Snapshot → RestoreEngine). The probe before each
 // batch warms the row cache, which is widened to hold every row, so a
 // row the patch failed to recompute or evict shows as a stale answer.
-// Both engines are probed after WaitWarm: the post-rebuild CSR window
-// is timing-dependent by design. Coverage is counted on the first
+// The probe follows each batch with no wait: an epoch's answers are
+// fixed the moment Mutate returns. Coverage is counted on the first
 // worker count's run. dir holds the snapshot scratch files.
 func EpochEquivalence(g *graph.Graph, ecfg serve.EngineConfig, batches [][]dyn.Mutation, dir string, workers []int) (EpochCoverage, error) {
 	if workers == nil {
@@ -282,7 +282,6 @@ func EpochEquivalence(g *graph.Graph, ecfg serve.EngineConfig, batches [][]dyn.M
 			if wi == 0 {
 				cov.count(out.Batch)
 			}
-			eng.WaitWarm()
 			got := serveResponses(eng, probe)
 			if err := eng.Snapshot(path); err != nil {
 				return cov, fmt.Errorf("check: epoch workers=%d batch %d snapshot: %w", w, i, err)

@@ -3,16 +3,20 @@ package distributed
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"net/rpc"
 	"os"
 	"os/exec"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/resil"
 	"repro/internal/shard"
@@ -303,6 +307,77 @@ func TestLoopbackDistributedMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameBits(t, want, got, "loopback cluster vs in-process")
+}
+
+// corruptFirstReply is a Worker whose first Compute reply has one bit
+// of its payload flipped after the worker checksummed it: a transfer
+// corrupted in flight.
+type corruptFirstReply struct {
+	*Worker
+	mu      sync.Mutex
+	flipped bool
+}
+
+func (w *corruptFirstReply) Compute(args *ComputeArgs, reply *ComputeReply) error {
+	if err := w.Worker.Compute(args, reply); err != nil {
+		return err
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.flipped {
+		w.flipped = true
+		reply.Data[0] = math.Float32frombits(math.Float32bits(reply.Data[0]) ^ 1)
+	}
+	return nil
+}
+
+// TestDistributedRejectsCorruptedReply: the coordinator re-verifies
+// every reply's checksum, rejects the corrupted one and retries the
+// partition, so the result is PartitionedSpMM's bits.
+func TestDistributedRejectsCorruptedReply(t *testing.T) {
+	g, b, p := distFixture(t)
+	want, _, err := PartitionedSpMM(g, b, 128, p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Worker", &corruptFirstReply{Worker: NewWorker(WorkerConfig{Workers: 1})}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go srv.ServeConn(conn)
+		}
+	}()
+	cl, err := Dial([]string{ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	reg := obs.NewRegistry()
+	got, err := cl.DistributedSpMM(g, b, 128, p, core.Options{}, DistConfig{
+		Retry: resil.RetryPolicy{Backoff: -1}, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, want, got, "corrupted reply retried")
+	v := reg.Snapshot().Volatile
+	if v["dist/checksum_reject"] < 1 {
+		t.Fatalf("dist/checksum_reject = %d, want >= 1", v["dist/checksum_reject"])
+	}
+	if v["dist/local_fallback"] != 0 {
+		t.Fatalf("dist/local_fallback = %d: the retry should have recovered remotely", v["dist/local_fallback"])
+	}
 }
 
 // TestRingConsistency pins the consistent-hash properties the

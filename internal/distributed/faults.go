@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/gnn"
 	"repro/internal/graph"
-	"repro/internal/pattern"
 	"repro/internal/resil"
 	"repro/internal/sched"
 )
@@ -23,15 +21,13 @@ import (
 // Injection sites fired by this package (occurrences count per site, in
 // execution order):
 //
-//	partition       one Begin per per-partition attempt (PartitionedSpMMFaults)
-//	partition/xfer  one Corrupt per computed partition partial result
-//	sample          one Begin per sample-propagation attempt (TrainSampledSGC)
-//	sample/xfer     one Corrupt per propagated sample result
-//	venom/meta      one Begin per SPTC operator validation (a transient
-//	                event here forces the SPTC→CSR degrade for that sample)
-//	eval            one Begin per full-graph evaluation attempt
-//	tile            per executed scheduler tile, when the pool was built
-//	                WithInjector (internal/sched)
+//	sample       one Begin per sample-propagation attempt (TrainSampledSGC)
+//	sample/xfer  one Corrupt per propagated sample result
+//	venom/meta   one Begin per SPTC operator validation (a transient
+//	             event here forces the SPTC→CSR degrade for that sample)
+//	eval         one Begin per full-graph evaluation attempt
+//	tile         per executed scheduler tile, when the pool was built
+//	             WithInjector (internal/sched)
 //
 // Recovery is recomputation of pure functions, so a recovered run's
 // training outcome is bit-identical to the fault-free run — the
@@ -72,90 +68,6 @@ func degradable(err error) bool {
 	var pe *resil.PanicError
 	var te *sched.TileError
 	return errors.As(err, &pe) || errors.As(err, &te)
-}
-
-// PartitionedSpMMFaults is PartitionedSpMM with the fault layer
-// engaged: each partition's diagonal-block computation runs as a
-// protected attempt (crash events and tile panics are contained as
-// errors), its partial result is checksummed at the source and verified
-// after the simulated transfer (an injected corruption fails
-// verification and forces a recompute), attempts retry under fc.Retry's
-// deterministic policy, and a straggling partition is speculatively
-// re-dispatched after fc.StragglerAfter. Recovery recomputes a pure
-// function, so the returned matrix is bit-identical to the fault-free
-// PartitionedSpMM result.
-func PartitionedSpMMFaults(g *graph.Graph, b *dense.Matrix, maxN int, p pattern.VNM, opt core.Options, fc FaultConfig) (*dense.Matrix, []*core.Result, error) {
-	if !fc.enabled() {
-		return PartitionedSpMM(g, b, maxN, p, opt)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	n := g.N()
-	if b.Rows != n {
-		return nil, nil, fmt.Errorf("distributed: B has %d rows, want %d", b.Rows, n)
-	}
-	parts := core.BFSPartition(g, maxN)
-	c := dense.NewMatrix(n, b.Cols)
-	results := make([]*core.Result, len(parts))
-	partOf := make([]int32, n)
-	for pi, part := range parts {
-		for _, v := range part {
-			partOf[v] = int32(pi)
-		}
-	}
-	pool := opt.ExecutionPool()
-	// Attempts may recompute (retry) or duplicate (speculation), so the
-	// per-partition compute runs without an observability registry —
-	// the deterministic fault accounting (resil/injected, resil/retries)
-	// is charged by the resil layer against the injector's registry.
-	copt := opt
-	copt.Obs = nil
-	copt.Pool = pool.WithObs(nil)
-	robs := fc.Inj.Obs()
-	errs := make([]error, len(parts))
-	runErr := pool.Run(len(parts), func(pi int) {
-		errs[pi] = resil.Retry(fc.Retry, robs, "partition", func(int) error {
-			v, err := resil.Speculate(fc.StragglerAfter, func() {
-				robs.Volatile("resil/redispatch/partition").Inc()
-			}, func() (any, error) {
-				if err := fc.Inj.Begin("partition"); err != nil {
-					return nil, err
-				}
-				out, err := computePartition(g, b, parts[pi], p, copt)
-				if err != nil {
-					return nil, err
-				}
-				// Simulated transfer of the partial result: checksum at
-				// the source, corrupt in transit, verify at the receiver.
-				want := resil.Checksum(out.localC.Data)
-				fc.Inj.Corrupt("partition/xfer", out.localC.Data)
-				if got := resil.Checksum(out.localC.Data); got != want {
-					return nil, &resil.ChecksumError{Site: "partition/xfer", Want: want, Got: got}
-				}
-				return out, nil
-			})
-			if err != nil {
-				return err
-			}
-			// Commit only a verified result; partitions own disjoint
-			// global rows.
-			out := v.(*partOut)
-			results[pi] = out.res
-			out.scatter(c)
-			return nil
-		})
-	})
-	if runErr != nil {
-		return nil, nil, runErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	crossPartitionPass(g, b, c, partOf)
-	return c, results, nil
 }
 
 // propagateProtected runs one sample's propagation under the fault

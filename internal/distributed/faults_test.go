@@ -1,16 +1,13 @@
 package distributed
 
 import (
-	"errors"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/pattern"
 	"repro/internal/resil"
 	"repro/internal/sched"
 )
@@ -36,65 +33,6 @@ func bitEqual(a, b *dense.Matrix) bool {
 		}
 	}
 	return true
-}
-
-// TestPartitionedSpMMFaultsBitIdentical: crashes, transients, and
-// corrupted transfers injected into the partitioned SpMM are recovered
-// by recomputation, so the result is bit-identical to the fault-free
-// run — and the deterministic fault counters record exactly the plan.
-func TestPartitionedSpMMFaultsBitIdentical(t *testing.T) {
-	g := graph.Banded(600, 2, 0.9, 3)
-	b := dense.NewMatrix(g.N(), 8)
-	b.Randomize(1, 11)
-	p := pattern.NM(2, 4)
-	want, _, err := PartitionedSpMM(g, b, 128, p, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := mustPlan(t, "seed=5; crash@partition:1; transient@partition:4; corrupt@partition/xfer:2")
-	reg := obs.NewRegistry()
-	got, results, err := PartitionedSpMMFaults(g, b, 128, p, core.Options{},
-		FaultConfig{Inj: resil.NewInjector(plan, reg), Retry: resil.RetryPolicy{Backoff: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitEqual(want, got) {
-		t.Fatal("faulted partitioned SpMM differs from fault-free run")
-	}
-	if len(results) == 0 {
-		t.Fatal("no partition results")
-	}
-	for i, r := range results {
-		if r == nil {
-			t.Fatalf("partition %d result missing after recovery", i)
-		}
-	}
-	counters := reg.Snapshot().Counters
-	if counters["resil/injected/crash"] != 1 || counters["resil/injected/transient"] != 1 || counters["resil/injected/corrupt"] != 1 {
-		t.Errorf("injected counters = %v, want one of each kind", counters)
-	}
-	if counters["resil/retries/partition"] != 3 {
-		t.Errorf("retries = %d, want 3 (one per injected fault)", counters["resil/retries/partition"])
-	}
-}
-
-// TestPartitionedSpMMFaultsRetryExhaustion: more crashes than the
-// retry budget at one site surfaces a typed, attempt-counted error
-// instead of hanging or panicking.
-func TestPartitionedSpMMFaultsRetryExhaustion(t *testing.T) {
-	g := graph.Banded(200, 2, 0.9, 3)
-	b := dense.NewMatrix(g.N(), 4)
-	b.Randomize(1, 2)
-	plan := mustPlan(t, "seed=1; crash@partition:1; crash@partition:2")
-	_, _, err := PartitionedSpMMFaults(g, b, 512, pattern.NM(2, 4), core.Options{Workers: 1},
-		FaultConfig{Inj: resil.NewInjector(plan, nil), Retry: resil.RetryPolicy{Max: 2, Backoff: -1}})
-	if err == nil {
-		t.Fatal("retry exhaustion did not surface an error")
-	}
-	var pe *resil.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want wrapped *resil.PanicError from the injected crash", err)
-	}
 }
 
 // sampledFixture builds a small labeled graph for sampled-SGC training.

@@ -75,8 +75,8 @@ func PartitionedSpMM(g *graph.Graph, b *dense.Matrix, maxN int, p pattern.VNM, o
 }
 
 // partOut is one partition's computed contribution, held apart from the
-// shared output matrix so the fault-injection path can verify it (and
-// discard a corrupted copy) before committing — the "partial result in
+// shared output matrix so a worker can ship it to the coordinator,
+// which verifies it before committing — the "partial result in
 // transit" of the paper's distributed setting.
 type partOut struct {
 	res    *core.Result

@@ -187,7 +187,6 @@ type Engine struct {
 	perm []int         // new position -> original vertex
 	inv  []int         // original vertex -> new position
 
-	nShards    int
 	shards     *lru[*shardHandle]
 	rowCache   *lru[[]float32]
 	csrOnly    []bool // rung-1 sticky SPTC->CSR fallback, per shard
@@ -203,15 +202,13 @@ type Engine struct {
 	// derived state builds off-lock while reads drain on the old epoch,
 	// then swaps in under a brief mu hold). dyn is owned by the mutator
 	// — readers never touch it.
-	muMut     sync.Mutex
-	dyn       *dyn.Mutable
-	epoch     uint64
-	x0        *dense.Matrix   // seeded features in ORIGINAL numbering
-	mid       []*dense.Matrix // Â^k · X for k = 1..Hops-2, patched per epoch
-	spare     *csr.Matrix     // a retired Â no reader can still hold; the next epoch's Â reuses its storage
-	stale     bool            // a failed epoch left Â/rhs behind dyn: rebuild every row
-	csrWindow bool            // post-rebuild degraded window (CSR dispatch)
-	warming   bool            // background handle warmer running
+	muMut sync.Mutex
+	dyn   *dyn.Mutable
+	epoch uint64
+	x0    *dense.Matrix   // seeded features in ORIGINAL numbering
+	mid   []*dense.Matrix // Â^k · X for k = 1..Hops-2, patched per epoch
+	spare *csr.Matrix     // a retired Â no reader can still hold; the next epoch's Â reuses its storage
+	stale bool            // a failed epoch left Â/rhs behind dyn: rebuild every row
 }
 
 // NewEngine loads graph g: reorder (or adopt cfg.Perm), apply the
@@ -303,7 +300,6 @@ func NewEngine(g *graph.Graph, cfg EngineConfig) (*Engine, error) {
 	e := &Engine{
 		cfg: cfg, n: n, src: g, a: a, rhs: rhs, head: head,
 		perm: append([]int(nil), perm...), inv: inv,
-		nShards:  nShards,
 		csrOnly:  make([]bool, nShards),
 		pool:     pool,
 		obs:      cfg.Obs,
@@ -375,8 +371,7 @@ func (e *Engine) registerMetrics() {
 		"serve/degraded/shards", "serve/degraded/batches",
 		"serve/dispatch/csr", "serve/dispatch/hybrid", "serve/dispatch/planned",
 		"serve/rejected", "serve/batch_faults",
-		"serve/mutate/rejected", "serve/epoch/csr_window_batches",
-		"serve/wal/commits",
+		"serve/mutate/rejected", "serve/wal/commits",
 	} {
 		e.obs.Volatile(name)
 	}
@@ -423,10 +418,9 @@ func (e *Engine) ValidateRequest(r *Request) error {
 func (e *Engine) shardOf(pos int) int { return pos / e.cfg.ShardRows }
 
 // bandCSR embeds shard s's row band of a as a square n-by-n CSR
-// (rows outside the band empty) — a pure function, so the background
-// warmer can build handles off-lock from a captured Â. The band's
-// columns and values are copied, never aliased: Mutate recycles the
-// storage of a retired Â, so a handle must not point into it.
+// (rows outside the band empty). The band's columns and values are
+// copied, never aliased: Mutate recycles the storage of a retired Â,
+// so a handle must not point into it.
 func bandCSR(a *csr.Matrix, n, shardRows, s int) *csr.Matrix {
 	lo := s * shardRows
 	hi := lo + shardRows
@@ -476,10 +470,7 @@ func (e *Engine) buildShard(s int) *shardHandle {
 			e.degradeShard(s)
 		}
 	}
-	if e.cfg.Mode == ModeCSR || e.csrOnly[s] || e.csrWindow {
-		// During the post-rebuild window the split is exactly the work
-		// being deferred to the background warmer — serve CSR now; the
-		// warmer's install overwrites this handle.
+	if e.cfg.Mode == ModeCSR || e.csrOnly[s] {
 		return h
 	}
 	comp, resid, err := venom.SplitToConform(h.sub, e.cfg.Pattern)
@@ -597,9 +588,6 @@ func (e *Engine) ServeBatch(reqs []*Request, degraded bool) []*Response {
 		e.obs.Volatile("serve/degraded/batches").Inc()
 		rows = e.gatherRows(positions)
 	} else {
-		if e.csrWindow {
-			e.obs.Volatile("serve/epoch/csr_window_batches").Inc()
-		}
 		rows = e.resolveRows(positions)
 	}
 
@@ -657,10 +645,7 @@ func (e *Engine) resolveRows(positions []int) map[int][]float32 {
 					rows[positions[k]] = append([]float32(nil), y.Row(positions[k])...)
 				}
 			}
-			// Rows dispatched inside the post-rebuild CSR window carry
-			// CSR bits the warmed hybrid handles will not reproduce, so
-			// they stay out of the cache, like degraded rows.
-			if e.cfg.CacheRows > 0 && !e.csrWindow {
+			if e.cfg.CacheRows > 0 {
 				lo, hi := e.shardBounds(s)
 				if hi-lo > e.cfg.CacheRows {
 					// The band is larger than the whole cache: filling it

@@ -24,10 +24,10 @@ package serve
 // (Â^Hops X)[p] only inside the radius-Hops ball. One BFS over the
 // union of the old and new adjacencies yields all three sets. Â is
 // rebuilt copy-on-write with just the radius-1 rows recomputed from
-// the bit matrix, so readers of the old one stay valid; the copy lands
-// in the storage of the Â retired the epoch before, which no reader can
-// still hold (shard handles copy their bands, and a retired Â is
-// dropped rather than recycled while the warmer may be reading it).
+// the bit matrix: readers under mu keep using the old Â while the new
+// one is built off-lock. The copy lands in the storage of the Â
+// retired the epoch before, which no reader can still hold (shard
+// handles copy their bands, and every other reader holds mu).
 // Each hop recomputes just its ball rows through the CSR kernel's row
 // body. Rows outside a ball recompute to bit-identical
 // float32 values (same columns, same operand rows, same accumulation
@@ -40,33 +40,24 @@ package serve
 //
 // When the permutation itself moved (repair swaps or a rebuild), every
 // position changed meaning: the same routine runs with every row dirty
-// and both caches clear. So does the epoch after a failed one: Mutate
-// marks the derived state stale before ApplyBatch changes the bit
-// matrix and clears the mark only after the swap, so a batch that dies
-// in between (an apply error, an injected crash at "serve/epoch", any
-// panic a caller recovers) leaves the next batch rebuilding every row
-// rather than patching state that no longer matches dyn.
-//
-// A staleness rebuild leaves every compressed shard handle stale at
-// once; re-splitting them lazily on the read path would stall queries
-// under mu. Instead the engine enters a CSR-served degraded window:
-// dispatches run the (cheaply built) CSR band path while one
-// background warmer goroutine rebuilds all compressed handles
-// off-lock and installs them under mu only if the epoch is still
-// current — retrying against the new epoch otherwise.
+// and both caches clear, so each shard handle is re-split on its first
+// read, as dropped handles are after any epoch. So does the epoch
+// after a failed one: Mutate marks the derived state stale before
+// ApplyBatch changes the bit matrix and clears the mark only after the
+// swap, so a batch that dies in between (an apply error, an injected
+// crash at "serve/epoch", any panic a caller recovers) leaves the next
+// batch rebuilding every row rather than patching state that no longer
+// matches dyn.
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"repro/internal/csr"
 	"repro/internal/dense"
 	"repro/internal/dyn"
 	"repro/internal/shard"
 	"repro/internal/spmm"
-	"repro/internal/venom"
 )
 
 // MutateOutcome reports one applied mutation batch: the epoch it
@@ -227,14 +218,10 @@ func (e *Engine) Mutate(ops []dyn.Mutation) (MutateOutcome, error) {
 	}
 
 	// The fence: swap the derived state in under a brief mu hold. The
-	// retired Â becomes the next epoch's storage unless a warmer may
-	// still be reading it off-lock; shard handles hold copies of their
-	// bands, and every other reader holds mu.
+	// retired Â becomes the next epoch's storage; shard handles hold
+	// copies of their bands, and every other reader holds mu.
 	e.mu.Lock()
 	e.a, e.spare = a2, e.a
-	if e.warming {
-		e.spare = nil
-	}
 	if permChanged {
 		// Every row was staged, in position order: adopt it whole.
 		e.rhs = &dense.Matrix{Rows: e.n, Cols: dim, Data: staged}
@@ -260,13 +247,6 @@ func (e *Engine) Mutate(ops []dyn.Mutation) (MutateOutcome, error) {
 	e.epoch++
 	epoch := e.epoch
 	e.obs.Gauge("serve/epoch/seq").Set(float64(epoch))
-	if out.Rebuilt && e.cfg.Mode != ModeCSR {
-		e.csrWindow = true
-		if !e.warming {
-			e.warming = true
-			go e.warm()
-		}
-	}
 	e.mu.Unlock()
 	e.stale = false
 	return MutateOutcome{Epoch: epoch, Batch: out}, nil
@@ -310,69 +290,9 @@ func (e *Engine) ball(accepted []dyn.Mutation) [][]int {
 	return ball
 }
 
-// warm is the background handle warmer behind the post-rebuild CSR
-// window: build every shard's compressed handle off-lock from a
-// consistent (epoch, Â) capture, then install the set atomically —
-// only if the epoch is still current, else rebuild against the new
-// one. Split failures mark their shard's sticky CSR fallback exactly
-// as the lazy build path would.
-func (e *Engine) warm() {
-	for {
-		e.mu.Lock()
-		if !e.csrWindow {
-			e.warming = false
-			e.mu.Unlock()
-			return
-		}
-		epoch, a := e.epoch, e.a
-		e.mu.Unlock()
-
-		handles := make([]*shardHandle, e.nShards)
-		failed := make([]bool, e.nShards)
-		for s := range handles {
-			h := &shardHandle{sub: bandCSR(a, e.n, e.cfg.ShardRows, s)}
-			comp, resid, err := venom.SplitToConform(h.sub, e.cfg.Pattern)
-			if err == nil {
-				err = comp.ValidateMeta()
-			}
-			if err != nil {
-				failed[s] = true
-			} else {
-				h.comp, h.resid = comp, resid
-			}
-			handles[s] = h
-		}
-
-		e.mu.Lock()
-		if e.epoch != epoch {
-			e.mu.Unlock()
-			continue
-		}
-		for s, h := range handles {
-			if failed[s] {
-				e.degradeShard(s)
-			}
-			e.shards.put(s, h)
-		}
-		e.csrWindow = false
-		e.warming = false
-		e.mu.Unlock()
-		return
-	}
-}
-
-// WaitWarm blocks until no degraded window or warmer is active — how
-// deterministic probes (oracles, benches) exclude the window's
-// timing-dependent CSR-vs-hybrid bit difference.
-func (e *Engine) WaitWarm() {
-	for {
-		e.mu.Lock()
-		busy := e.csrWindow || e.warming
-		e.mu.Unlock()
-		if !busy {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(100 * time.Microsecond)
-	}
-}
+// WaitWarm returns immediately.
+//
+// Deprecated: Mutate starts no background work, so there is nothing
+// to wait for. WaitWarm is kept only because the benchmark harness in
+// perfbench calls it.
+func (e *Engine) WaitWarm() {}

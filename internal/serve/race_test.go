@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/dyn"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/resil"
 )
@@ -109,12 +111,30 @@ func TestRaceHammer(t *testing.T) {
 // operands, every response must be a pure function of some PREFIX of
 // the mutation stream — its checksum must equal the twin-precomputed
 // checksum for exactly the epoch it reports, and no query may error
-// while mutations land.
+// while mutations land. The hybrid case forces staleness rebuilds, so
+// reads also land straight after epochs that moved every row and
+// dropped every shard handle.
 func TestMutationHammer(t *testing.T) {
-	const n = 256
-	g := testGraph(t, n)
-	cfg := EngineConfig{Seed: 11, ShardRows: 64, CacheRows: 24, ShardCap: 2, Mode: ModeCSR}
+	community, err := datasets.Family("community", 40, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		g        *graph.Graph
+		cfg      EngineConfig
+		rebuilds bool // the stream must trigger at least one rebuild
+	}{
+		{"csr", testGraph(t, 256), EngineConfig{Seed: 11, ShardRows: 64, CacheRows: 24, ShardCap: 2, Mode: ModeCSR}, false},
+		{"hybrid-rebuild", community, EngineConfig{Seed: 11, ShardRows: 16, CacheRows: 24, ShardCap: 2, Mode: ModeHybrid, StalenessBudget: 1e-12}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { mutationHammer(t, c.g, c.cfg, c.rebuilds) })
+	}
+}
 
+func mutationHammer(t *testing.T, g *graph.Graph, cfg EngineConfig, wantRebuild bool) {
+	n := g.N()
 	script, err := GenerateMixedScript(MixedScriptConfig{
 		Seed: 5, Clients: 1, Requests: 12, N: n, WriteRatio: 1, MutOps: 4,
 	})
@@ -125,7 +145,13 @@ func TestMutationHammer(t *testing.T) {
 	for i, slot := range script[0] {
 		bs[i] = slot.Muts
 	}
-	probe := &Request{Op: OpEmbed, Nodes: []int{0, 3, 17, 63, n / 2, n - 1}}
+	var nodes []int // ascending, distinct, in range
+	for _, v := range []int{0, 3, 17, 63, n / 2, n - 1} {
+		if v < n && (len(nodes) == 0 || v > nodes[len(nodes)-1]) {
+			nodes = append(nodes, v)
+		}
+	}
+	probe := &Request{Op: OpEmbed, Nodes: nodes}
 
 	// Twin: the expected probe checksum at EVERY epoch, applied
 	// batch by batch on an identical engine.
@@ -141,7 +167,6 @@ func TestMutationHammer(t *testing.T) {
 		if _, err := twin.Mutate(b); err != nil {
 			t.Fatal(err)
 		}
-		twin.WaitWarm()
 		expected[i+1] = twin.ServeBatch([]*Request{probe}, false)[0].Checksum()
 	}
 	cfg.Perm = bootPerm
@@ -178,6 +203,7 @@ func TestMutationHammer(t *testing.T) {
 			}
 		}(r)
 	}
+	rebuilds := 0
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -191,6 +217,9 @@ func TestMutationHammer(t *testing.T) {
 				errs <- fmt.Errorf("mutator batch %d: epoch %d", i, mr.Epoch)
 				return
 			}
+			if mr.Batch.Rebuilt {
+				rebuilds++
+			}
 		}
 	}()
 	wg.Wait()
@@ -198,9 +227,11 @@ func TestMutationHammer(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	if wantRebuild && rebuilds == 0 {
+		t.Fatal("no mutation batch triggered a rebuild")
+	}
 
-	// Settled state: the final epoch's bits, exactly.
-	live.WaitWarm()
+	// Final state: the last epoch's bits, exactly.
 	resp, err := srv.Submit(probe)
 	if err != nil {
 		t.Fatal(err)

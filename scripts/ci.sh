@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: vet, gofmt, build, race-enabled tests, fuzz smoke, coverage floor.
+# CI gate: vet, gofmt, build, perfbench vet, race-enabled tests, fuzz smoke,
+# coverage floor.
 #
 # Usage: scripts/ci.sh [fuzztime]
 #   fuzztime   per-target fuzzing budget (default 5s; 0 skips fuzzing)
@@ -38,6 +39,11 @@ done
 
 echo "== go build =="
 go build ./...
+
+echo "== go vet (perfbench module) =="
+# The benchmark harness is a nested module, so the root ./... patterns
+# skip it; vet type-checks it against the current internal packages.
+go -C perfbench vet ./...
 
 echo "== go test -race (default GOMAXPROCS) =="
 go test -race ./...
