@@ -12,6 +12,12 @@ package distributed
 // output (DESIGN.md §10's transfer-integrity rule, now across real
 // process boundaries).
 
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
+
 // WireOptions carries the reorder knobs that make sense across a
 // process boundary (core.Options minus in-process handles like the
 // scheduler pool and the observability registry — workers run their
@@ -31,7 +37,7 @@ type LoadArgs struct {
 	GraphSum   uint64 // shard.ChecksumBytes(GraphShard)
 	BRows      int
 	BCols      int
-	BData      []float32
+	BData      Floats
 	BSum       uint64 // resil.Checksum(BData)
 }
 
@@ -60,9 +66,40 @@ type ComputeArgs struct {
 // resil.Checksum(Data) computed worker-side before transfer.
 type ComputeReply struct {
 	Rows     []int
-	Data     []float32
+	Data     Floats
 	Cols     int
 	Checksum uint64
+}
+
+// Floats is a float32 payload that crosses the wire as one byte string
+// of little-endian IEEE-754 bit patterns, 4 bytes per element. gob's
+// own []float32 encoding writes each element as a byte-reversed
+// float64 with a length prefix, one call per element; this encoding is
+// a single copy. Bit patterns travel unchanged, so NaN payloads, signed
+// zeros and subnormals survive and resil.Checksum agrees on both ends.
+type Floats []float32
+
+// GobEncode implements gob.GobEncoder.
+func (f Floats) GobEncode() ([]byte, error) {
+	buf := make([]byte, 4*len(f))
+	for i, v := range f {
+		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+	}
+	return buf, nil
+}
+
+// GobDecode implements gob.GobDecoder. A byte string whose length is
+// not a multiple of 4 is a decode error.
+func (f *Floats) GobDecode(buf []byte) error {
+	if len(buf)%4 != 0 {
+		return fmt.Errorf("distributed: float payload of %d bytes is not a multiple of 4", len(buf))
+	}
+	out := make(Floats, len(buf)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	}
+	*f = out
+	return nil
 }
 
 // PingArgs/PingReply implement the liveness probe.

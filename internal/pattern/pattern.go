@@ -128,15 +128,10 @@ func PScore(m *bitmat.Matrix, p VNM) int {
 // helper. The count is an exact integer reduction over disjoint row
 // ranges, so every pool size returns the same value.
 func PScoreOn(pool *sched.Pool, m *bitmat.Matrix, p VNM) int {
-	segs := m.NumSegments(p.M)
 	body := func(lo, hi int) int {
 		count := 0
 		for i := lo; i < hi; i++ {
-			for s := 0; s < segs; s++ {
-				if m.SegmentPop(i, s, p.M) > p.N {
-					count++
-				}
-			}
+			count += overLanes(m.Row(i), p.M, p.N, nil)
 		}
 		return count
 	}
@@ -148,57 +143,88 @@ func PScoreOn(pool *sched.Pool, m *bitmat.Matrix, p VNM) int {
 
 // SegmentPScores returns, for each of the ceil(n/M) segments (column
 // stripes), the number of its segment vectors violating the horizontal
-// constraint.
+// constraint. One row-order scan adds each violation into its
+// segment's count.
 func SegmentPScores(m *bitmat.Matrix, p VNM) []int {
-	segs := m.NumSegments(p.M)
-	scores := make([]int, segs)
-	// Parallel over segments (columns stripes are independent).
-	bitmat.ParallelRows(segs, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			count := 0
-			for i := 0; i < m.N(); i++ {
-				if m.SegmentPop(i, s, p.M) > p.N {
-					count++
-				}
-			}
-			scores[s] = count
-		}
-	})
+	scores := make([]int, m.NumSegments(p.M))
+	for i := 0; i < m.N(); i++ {
+		overLanes(m.Row(i), p.M, p.N, scores)
+	}
 	return scores
 }
 
 // SegmentNNZ returns the number of nonzeros in each column-stripe
-// segment.
+// segment. One row-order scan walks the set bits, skipping zero words.
 func SegmentNNZ(m *bitmat.Matrix, p VNM) []int {
-	segs := m.NumSegments(p.M)
-	counts := make([]int, segs)
-	bitmat.ParallelRows(segs, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			total := 0
-			for i := 0; i < m.N(); i++ {
-				total += m.SegmentPop(i, s, p.M)
+	counts := make([]int, m.NumSegments(p.M))
+	for i := 0; i < m.N(); i++ {
+		for wi, w := range m.Row(i) {
+			for w != 0 {
+				counts[(wi*64+bits.TrailingZeros64(w))/p.M]++
+				w &= w - 1
 			}
-			counts[s] = total
 		}
-	})
+	}
 	return counts
 }
 
-// MetaBlockValid reports whether the V-by-M meta-block with top row
-// rowStart and column stripe seg satisfies both V:N:M constraints:
-// at most K nonzero columns (vertical) and every row vector N:M
-// (horizontal).
-func MetaBlockValid(m *bitmat.Matrix, p VNM, rowStart, seg int) bool {
-	used := m.ColumnsUsed(rowStart, seg, p.M, p.V)
-	if bits.OnesCount64(used) > p.EffK() {
-		return false
+// overLanes is the scoring kernel: it counts the M-bit segment
+// vectors of the row words whose popcount exceeds limit, adding one to
+// per[segment] for each when per is non-nil. For a power-of-two M a
+// word holds 64/M whole segment vectors, so a word whose popcount is
+// at most limit cannot hold a violating one and is skipped whole; the
+// others walk only their nonzero lanes. An M that is not a power of
+// two has segments straddling words and takes the per-segment path.
+// M must be in [1, 64].
+func overLanes(words []uint64, M, limit int, per []int) int {
+	if M&(M-1) != 0 {
+		return overSegments(words, M, limit, per)
 	}
-	for r := rowStart; r < rowStart+p.V && r < m.N(); r++ {
-		if m.SegmentPop(r, seg, p.M) > p.N {
-			return false
+	mask := maskLow(M)
+	lanesPerWord := 64 / M
+	count := 0
+	for wi, w := range words {
+		if bits.OnesCount64(w) <= limit {
+			continue
+		}
+		for w != 0 {
+			shift := bits.TrailingZeros64(w) &^ (M - 1)
+			if bits.OnesCount64(w>>uint(shift)&mask) > limit {
+				count++
+				if per != nil {
+					per[wi*lanesPerWord+shift/M]++
+				}
+			}
+			w &^= mask << uint(shift)
 		}
 	}
-	return true
+	return count
+}
+
+// overSegments is overLanes for an M that is not a power of two: it
+// extracts each segment vector from the (at most two) words it spans.
+func overSegments(words []uint64, M, limit int, per []int) int {
+	mask := maskLow(M)
+	count := 0
+	for s, start := 0, 0; start < 64*len(words); s, start = s+1, start+M {
+		wi, off := start/64, uint(start%64)
+		v := words[wi] >> off
+		if off != 0 && wi+1 < len(words) {
+			v |= words[wi+1] << (64 - off)
+		}
+		if bits.OnesCount64(v&mask) > limit {
+			count++
+			if per != nil {
+				per[s]++
+			}
+		}
+	}
+	return count
+}
+
+// maskLow returns a mask of the low k bits, k in [1, 64].
+func maskLow(k int) uint64 {
+	return ^uint64(0) >> uint(64-k)
 }
 
 // MetaBlockVerticalValid reports only the vertical constraint of the
@@ -215,25 +241,44 @@ func MBScore(m *bitmat.Matrix, p VNM) int {
 
 // MBScoreOn computes MBScore on an explicit execution pool (nil falls
 // back to the bitmat helper); like PScoreOn it is pool-size-invariant.
+// A meta-block's used columns are the OR of its V segment vectors, so
+// each band's rows are ORed word-wise and scored by the same kernel
+// with limit K. A meta-block spans only M columns, so when M <= K none
+// can violate and the score is 0 without a scan.
 func MBScoreOn(pool *sched.Pool, m *bitmat.Matrix, p VNM) int {
-	segs := m.NumSegments(p.M)
-	blocksPerCol := (m.N() + p.V - 1) / p.V
+	if p.M <= p.EffK() {
+		return 0
+	}
 	body := func(lo, hi int) int {
+		scratch := make([]uint64, m.WordsPerRow())
 		count := 0
 		for b := lo; b < hi; b++ {
-			rowStart := b * p.V
-			for s := 0; s < segs; s++ {
-				if !MetaBlockVerticalValid(m, p, rowStart, s) {
-					count++
-				}
-			}
+			count += overLanes(bandColumns(m, p, b, scratch), p.M, p.EffK(), nil)
 		}
 		return count
 	}
+	bands := NumBlockRows(m, p)
 	if pool == nil {
-		return bitmat.ParallelReduceInt(blocksPerCol, body)
+		return bitmat.ParallelReduceInt(bands, body)
 	}
-	return pool.ReduceInt(blocksPerCol, body)
+	return pool.ReduceInt(bands, body)
+}
+
+// bandColumns returns the word-wise OR of band b's rows: bit j is set
+// when any row of the band has a nonzero in column j. A one-row band
+// returns that row itself; otherwise the OR is written to scratch.
+func bandColumns(m *bitmat.Matrix, p VNM, b int, scratch []uint64) []uint64 {
+	lo, hi := b*p.V, min((b+1)*p.V, m.N())
+	if hi-lo == 1 {
+		return m.Row(lo)
+	}
+	clear(scratch)
+	for r := lo; r < hi; r++ {
+		for k, w := range m.Row(r) {
+			scratch[k] |= w
+		}
+	}
+	return scratch
 }
 
 // RowPScore returns the number of row i's segment vectors violating the
@@ -243,27 +288,7 @@ func MBScoreOn(pool *sched.Pool, m *bitmat.Matrix, p VNM) int {
 // affected partials before and after a local change and adjust the
 // running total, instead of rescanning the matrix.
 func RowPScore(m *bitmat.Matrix, p VNM, i int) int {
-	segs := m.NumSegments(p.M)
-	count := 0
-	for s := 0; s < segs; s++ {
-		if m.SegmentPop(i, s, p.M) > p.N {
-			count++
-		}
-	}
-	return count
-}
-
-// SegPScore returns the number of segment vectors in column stripe seg
-// violating the horizontal constraint — one stripe's contribution to
-// PScore (the per-segment entries of SegmentPScores, computed alone).
-func SegPScore(m *bitmat.Matrix, p VNM, seg int) int {
-	count := 0
-	for i := 0; i < m.N(); i++ {
-		if m.SegmentPop(i, seg, p.M) > p.N {
-			count++
-		}
-	}
-	return count
+	return overLanes(m.Row(i), p.M, p.N, nil)
 }
 
 // NumBlockRows returns the number of V-row meta-block bands:
@@ -276,28 +301,10 @@ func NumBlockRows(m *bitmat.Matrix, p VNM) int {
 // (rows [b*V, (b+1)*V)) violating the vertical constraint — one band's
 // contribution to MBScore.
 func BlockRowMBScore(m *bitmat.Matrix, p VNM, b int) int {
-	segs := m.NumSegments(p.M)
-	rowStart := b * p.V
-	count := 0
-	for s := 0; s < segs; s++ {
-		if !MetaBlockVerticalValid(m, p, rowStart, s) {
-			count++
-		}
+	if p.M <= p.EffK() || b*p.V >= m.N() {
+		return 0
 	}
-	return count
-}
-
-// SegMBScore returns the number of meta-blocks in column stripe seg
-// violating the vertical constraint — one stripe's contribution to
-// MBScore.
-func SegMBScore(m *bitmat.Matrix, p VNM, seg int) int {
-	count := 0
-	for b := 0; b < NumBlockRows(m, p); b++ {
-		if !MetaBlockVerticalValid(m, p, b*p.V, seg) {
-			count++
-		}
-	}
-	return count
+	return overLanes(bandColumns(m, p, b, make([]uint64, m.WordsPerRow())), p.M, p.EffK(), nil)
 }
 
 // Violations aggregates both violation counts for a matrix under a
@@ -310,11 +317,6 @@ type Violations struct {
 
 // Conforming reports whether the matrix fully conforms to the pattern.
 func (v Violations) Conforming() bool { return v.PScore == 0 && v.MBScore == 0 }
-
-// Check computes both scores.
-func Check(m *bitmat.Matrix, p VNM) Violations {
-	return Violations{Pattern: p, PScore: PScore(m, p), MBScore: MBScore(m, p)}
-}
 
 // Conforms reports whether the matrix satisfies every V:N:M constraint.
 func Conforms(m *bitmat.Matrix, p VNM) bool {

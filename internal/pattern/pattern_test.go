@@ -149,49 +149,6 @@ func TestMBScore(t *testing.T) {
 	}
 }
 
-func TestMetaBlockValidChecksBothConstraints(t *testing.T) {
-	// Block uses only 2 columns (vertical ok) but row 0 has 3 nonzeros
-	// in the window -> horizontal violation.
-	m := mustMatrix(t,
-		"11100000",
-		"00000000",
-		"00000000",
-		"00000000",
-		"00000000",
-		"00000000",
-		"00000000",
-		"00000000",
-	)
-	p := New(4, 2, 8)
-	if MetaBlockValid(m, p, 0, 0) {
-		t.Error("MetaBlockValid should fail on horizontal violation")
-	}
-	if !MetaBlockVerticalValid(m, p, 0, 0) {
-		t.Error("vertical constraint alone should pass (3 columns <= 4)")
-	}
-}
-
-func TestConformsAndCheck(t *testing.T) {
-	m := mustMatrix(t,
-		"1100",
-		"0011",
-		"1001",
-		"0110",
-	)
-	p := NM(2, 4)
-	if !Conforms(m, p) {
-		t.Error("2-per-row matrix should conform to 2:4")
-	}
-	v := Check(m, p)
-	if !v.Conforming() || v.PScore != 0 || v.MBScore != 0 {
-		t.Errorf("Check = %+v, want all zero", v)
-	}
-	m.Set(0, 2)
-	if Conforms(m, p) {
-		t.Error("3-nonzero row should not conform to 2:4")
-	}
-}
-
 func TestNMIsSpecialCaseOfVNM(t *testing.T) {
 	// For V=1 and N <= K, the vertical constraint is implied by the
 	// horizontal one: MBScore must be 0 whenever PScore is 0.
@@ -281,34 +238,6 @@ func TestPScoreMatchesBruteForce(t *testing.T) {
 		if got := PScore(m, p); got != brute {
 			t.Errorf("%v: PScore = %d, brute = %d", p, got, brute)
 		}
-	}
-}
-
-func BenchmarkPScore(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 2048
-	m := bitmat.New(n)
-	for k := 0; k < n*8; k++ {
-		m.Set(rng.Intn(n), rng.Intn(n))
-	}
-	p := NM(2, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = PScore(m, p)
-	}
-}
-
-func BenchmarkMBScore(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 2048
-	m := bitmat.New(n)
-	for k := 0; k < n*8; k++ {
-		m.Set(rng.Intn(n), rng.Intn(n))
-	}
-	p := New(16, 2, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MBScore(m, p)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func Visualize(m *bitmat.Matrix, p VNM) string {
 	n := m.N()
 	if n > 128 {
-		v := Check(m, p)
+		v := Violations{Pattern: p, PScore: PScore(m, p), MBScore: MBScore(m, p)}
 		return fmt.Sprintf("matrix %dx%d vs %v: PScore=%d MBScore=%d (too large to draw)\n",
 			n, n, p, v.PScore, v.MBScore)
 	}
@@ -58,7 +58,7 @@ func Visualize(m *bitmat.Matrix, p VNM) string {
 		}
 		b.WriteByte('\n')
 	}
-	v := Check(m, p)
+	v := Violations{Pattern: p, PScore: PScore(m, p), MBScore: MBScore(m, p)}
 	fmt.Fprintf(&b, "PScore=%d MBScore=%d conforming=%v\n", v.PScore, v.MBScore, v.Conforming())
 	return b.String()
 }

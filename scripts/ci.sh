@@ -65,7 +65,7 @@ if [ "$FUZZTIME" != "0" ]; then
                   FuzzFaultPlanParse FuzzCalibrationParse \
                   FuzzMutationStreamParse FuzzIncrementalVsScratch \
                   FuzzServeRequestParse FuzzShardFormat FuzzWALReplay \
-                  FuzzEpochPatch; do
+                  FuzzEpochPatch FuzzScoreEquivalence; do
         echo "-- $target"
         go test ./internal/check/ -run "^$target\$" -fuzz "^$target\$" \
             -fuzztime "$FUZZTIME"
