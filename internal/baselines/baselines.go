@@ -1,8 +1,7 @@
-// Package baselines implements the comparison reordering schemes the
-// paper discusses: a Jigsaw-style pure *matrix* column reordering
-// (Section 6: supports only basic 2:4, and — unlike SOGRE's graph
-// reordering — destroys the adjacency matrix's symmetry), classic
-// reverse Cuthill–McKee bandwidth reduction, and degree sorting.
+// Package baselines implements the comparison reordering the paper
+// discusses: a Jigsaw-style pure *matrix* column reordering (Section 6:
+// supports only basic 2:4, and — unlike SOGRE's graph reordering —
+// destroys the adjacency matrix's symmetry).
 package baselines
 
 import (
@@ -10,8 +9,6 @@ import (
 	"sort"
 
 	"repro/internal/bitmat"
-	"repro/internal/graph"
-	"repro/internal/hamming"
 	"repro/internal/pattern"
 )
 
@@ -113,146 +110,4 @@ func Jigsaw(m *bitmat.Matrix, p pattern.VNM) *JigsawResult {
 	res.FinalPScore = pattern.PScore(out, p)
 	res.Symmetric = out.IsSymmetric()
 	return res
-}
-
-// RCM computes the reverse Cuthill–McKee ordering, the classic
-// bandwidth-reduction reorder used as a locality baseline. Returns a
-// permutation (new position -> original vertex).
-func RCM(g *graph.Graph) []int {
-	n := g.N()
-	visited := make([]bool, n)
-	var order []int
-	// Start from minimum-degree vertices of each component.
-	verts := make([]int, n)
-	for i := range verts {
-		verts[i] = i
-	}
-	sort.SliceStable(verts, func(a, b int) bool { return g.Degree(verts[a]) < g.Degree(verts[b]) })
-	for _, start := range verts {
-		if visited[start] {
-			continue
-		}
-		visited[start] = true
-		queue := []int{start}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			order = append(order, u)
-			nbrs := append([]int32(nil), g.Neighbors(u)...)
-			sort.Slice(nbrs, func(a, b int) bool { return g.Degree(int(nbrs[a])) < g.Degree(int(nbrs[b])) })
-			for _, v := range nbrs {
-				if !visited[v] {
-					visited[v] = true
-					queue = append(queue, int(v))
-				}
-			}
-		}
-	}
-	// Reverse.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
-}
-
-// Bandwidth returns the adjacency bandwidth max |i - j| over edges —
-// the quantity RCM minimizes.
-func Bandwidth(g *graph.Graph) int {
-	best := 0
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			d := u - int(v)
-			if d < 0 {
-				d = -d
-			}
-			if d > best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
-// GOrder approximates the GOrder/GScore reordering the paper's Related
-// Work cites (Wei et al., SIGMOD'16): a greedy ordering that, within a
-// sliding window of w recently-placed vertices, appends the vertex
-// sharing the most neighbors (and direct edges) with the window —
-// maximizing CPU cache locality rather than any N:M pattern. Included
-// as the classic locality baseline: it improves bandwidth-style
-// locality but does nothing targeted for V:N:M conformity.
-func GOrder(g *graph.Graph, window int) []int {
-	n := g.N()
-	if window < 1 {
-		window = 5
-	}
-	placed := make([]bool, n)
-	score := make([]int, n) // shared-adjacency score vs current window
-	order := make([]int, 0, n)
-	recent := make([]int, 0, window)
-
-	bump := func(v int, delta int) {
-		for _, u := range g.Neighbors(v) {
-			if !placed[u] {
-				score[u] += delta
-			}
-		}
-	}
-	for len(order) < n {
-		// Pick the unplaced vertex with the best score (ties: lowest
-		// id; empty window: highest degree seed).
-		best := -1
-		for v := 0; v < n; v++ {
-			if placed[v] {
-				continue
-			}
-			switch {
-			case best < 0:
-				best = v
-			case score[v] > score[best]:
-				best = v
-			case score[v] == score[best] && g.Degree(v) > g.Degree(best):
-				best = v
-			}
-		}
-		placed[best] = true
-		order = append(order, best)
-		bump(best, 1)
-		recent = append(recent, best)
-		if len(recent) > window {
-			old := recent[0]
-			recent = recent[1:]
-			bump(old, -1)
-		}
-	}
-	return order
-}
-
-// HammingRowSort is the simple one-shot baseline of sorting rows (and
-// columns, to preserve symmetry) by the Hamming position code of their
-// leading segments — Stage-1 without iteration, for ablation.
-func HammingRowSort(m *bitmat.Matrix, p pattern.VNM) []int {
-	n := m.N()
-	segs := m.NumSegments(p.M)
-	keys := make([][]int64, n)
-	for i := 0; i < n; i++ {
-		row := make([]int64, segs)
-		for s := 0; s < segs; s++ {
-			row[s] = hamming.SignedCode(m.Segment(i, s, p.M), p.N)
-		}
-		keys[i] = row
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := keys[order[a]], keys[order[b]]
-		for s := range ka {
-			if ka[s] != kb[s] {
-				return ka[s] < kb[s]
-			}
-		}
-		return false
-	})
-	return order
 }

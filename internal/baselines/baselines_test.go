@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bitmat"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
@@ -55,156 +54,6 @@ func TestJigsawColumnPermutationCorrect(t *testing.T) {
 	}
 }
 
-func TestRCMReducesBandwidth(t *testing.T) {
-	// Scrambled banded graph: RCM should shrink bandwidth massively.
-	g := graph.Banded(256, 3, 0.9, 1)
-	perm := rand.New(rand.NewSource(3)).Perm(256)
-	scrambled, err := g.ApplyPermutation(perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := Bandwidth(scrambled)
-	order := RCM(scrambled)
-	reordered, err := scrambled.ApplyPermutation(order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := Bandwidth(reordered)
-	if after >= before {
-		t.Errorf("RCM did not reduce bandwidth: %d -> %d", before, after)
-	}
-	if after > 30 {
-		t.Errorf("RCM bandwidth %d still large for band-3 graph", after)
-	}
-}
-
-func TestRCMIsPermutation(t *testing.T) {
-	g := graph.ErdosRenyi(100, 0.05, 7)
-	order := RCM(g)
-	if len(order) != 100 {
-		t.Fatalf("length %d", len(order))
-	}
-	seen := make([]bool, 100)
-	for _, v := range order {
-		if seen[v] {
-			t.Fatal("duplicate in RCM order")
-		}
-		seen[v] = true
-	}
-}
-
-func TestRCMDisconnected(t *testing.T) {
-	g, _ := graph.NewFromEdges(6, [][2]int{{0, 1}, {3, 4}})
-	order := RCM(g)
-	seen := make([]bool, 6)
-	for _, v := range order {
-		seen[v] = true
-	}
-	for i, s := range seen {
-		if !s {
-			t.Errorf("vertex %d missing from RCM order", i)
-		}
-	}
-}
-
-func TestHammingRowSortIsPermutation(t *testing.T) {
-	g := graph.BarabasiAlbert(64, 2, 9)
-	m := g.ToBitMatrix()
-	order := HammingRowSort(m, pattern.NM(2, 4))
-	seen := make([]bool, 64)
-	for _, v := range order {
-		if seen[v] {
-			t.Fatal("duplicate")
-		}
-		seen[v] = true
-	}
-	// Applying it symmetrically preserves the graph.
-	pm := m.Permute(order)
-	if pm.NNZ() != m.NNZ() || !pm.IsSymmetric() {
-		t.Error("HammingRowSort permutation damaged matrix")
-	}
-}
-
-func TestGOrderIsPermutation(t *testing.T) {
-	g := graph.BarabasiAlbert(120, 3, 5)
-	order := GOrder(g, 5)
-	if len(order) != 120 {
-		t.Fatalf("length %d", len(order))
-	}
-	seen := make([]bool, 120)
-	for _, v := range order {
-		if seen[v] {
-			t.Fatal("duplicate in GOrder")
-		}
-		seen[v] = true
-	}
-}
-
-func TestGOrderImprovesLocality(t *testing.T) {
-	// On a scrambled banded graph, GOrder should reduce the mean edge
-	// index distance (locality) versus the scrambled order.
-	base := graph.Banded(200, 3, 0.9, 2)
-	perm := rand.New(rand.NewSource(7)).Perm(200)
-	scrambled, err := base.ApplyPermutation(perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meanDist := func(g *graph.Graph) float64 {
-		var sum float64
-		count := 0
-		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Neighbors(u) {
-				d := u - int(v)
-				if d < 0 {
-					d = -d
-				}
-				sum += float64(d)
-				count++
-			}
-		}
-		return sum / float64(count)
-	}
-	before := meanDist(scrambled)
-	order := GOrder(scrambled, 8)
-	reordered, err := scrambled.ApplyPermutation(order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := meanDist(reordered)
-	if after >= before {
-		t.Errorf("GOrder did not improve locality: %.1f -> %.1f", before, after)
-	}
-}
-
-func TestGOrderNotNMTargeted(t *testing.T) {
-	// The point of the comparison: locality reorderings do not achieve
-	// N:M conformity the way SOGRE does on the same input.
-	base := graph.Banded(160, 3, 0.9, 4)
-	p := pattern.NM(2, 4)
-	m := base.ToBitMatrix()
-	before := pattern.PScore(m, p)
-	if before == 0 {
-		t.Skip("no violations to fix")
-	}
-	order := GOrder(base, 8)
-	reordered, err := base.ApplyPermutation(order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gorderScore := pattern.PScore(reordered.ToBitMatrix(), p)
-	// SOGRE on the same graph.
-	res, err := core.Reorder(m, p, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalPScore >= gorderScore && gorderScore > 0 {
-		t.Logf("note: SOGRE %d vs GOrder %d violations (SOGRE should usually win)", res.FinalPScore, gorderScore)
-	}
-	if res.FinalPScore > before/2 {
-		t.Errorf("SOGRE fixed too little: %d -> %d", before, res.FinalPScore)
-	}
-}
-
 func BenchmarkJigsaw(b *testing.B) {
 	g := graph.BarabasiAlbert(512, 3, 1)
 	m := g.ToBitMatrix()
@@ -212,13 +61,5 @@ func BenchmarkJigsaw(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Jigsaw(m, p)
-	}
-}
-
-func BenchmarkRCM(b *testing.B) {
-	g := graph.BarabasiAlbert(2048, 4, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = RCM(g)
 	}
 }

@@ -374,16 +374,6 @@ func FuzzShardFormat(f *testing.F) {
 				}
 			case shard.TagPerm:
 				_, serr = sf.Perm(0)
-			case shard.TagVNM:
-				var m *venom.Matrix
-				m, serr = sf.VNM(0)
-				if serr == nil {
-					if verr := m.ValidateMeta(); verr != nil {
-						t.Fatalf("decoded VNM fails ValidateMeta: %v", verr)
-					}
-				}
-			case shard.TagCSR:
-				_, serr = sf.CSR(0)
 			default:
 				_, serr = sf.Raw(s.Tag, 0)
 			}

@@ -28,18 +28,6 @@ func (m *Matrix) NNZ() int { return len(m.ColIdx) }
 // work estimate the tile scheduler's degree-aware partitioner balances.
 func (m *Matrix) RowNNZ(i int) int { return int(m.RowPtr[i+1] - m.RowPtr[i]) }
 
-// MaxRowNNZ returns the largest row population (the heavy-row extreme
-// of the degree distribution the scheduler must split).
-func (m *Matrix) MaxRowNNZ() int {
-	max := 0
-	for i := 0; i < m.N; i++ {
-		if d := m.RowNNZ(i); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Row returns the column indices and values of row i (aliases storage).
 func (m *Matrix) Row(i int) ([]int32, []float32) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]

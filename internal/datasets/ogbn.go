@@ -65,13 +65,3 @@ func OGBNGraph(meta OGBNMeta, scale float64, seed int64) *graph.Graph {
 		return g
 	}
 }
-
-// OGBNByName looks up the meta entry.
-func OGBNByName(name string) (OGBNMeta, bool) {
-	for _, m := range OGBNMetas {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return OGBNMeta{}, false
-}

@@ -26,11 +26,3 @@ func (ar *Arena) Matrix(rows, cols int) *Matrix {
 	}
 	return FromData(rows, cols, ar.buf[:n])
 }
-
-// Reserve grows the arena to hold a rows x cols matrix without handing
-// one out, so a later hot-path Matrix call cannot allocate.
-func (ar *Arena) Reserve(rows, cols int) {
-	if n := rows * cols; cap(ar.buf) < n {
-		ar.buf = make([]float32, n)
-	}
-}

@@ -152,34 +152,6 @@ func (m *Matrix) AddBias(bias []float32) {
 	})
 }
 
-// ConcatCols returns [A | B] column-wise.
-func ConcatCols(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic("dense: ConcatCols row mismatch")
-	}
-	out := NewMatrix(a.Rows, a.Cols+b.Cols)
-	bitmat.ParallelRows(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			copy(out.Row(i)[:a.Cols], a.Row(i))
-			copy(out.Row(i)[a.Cols:], b.Row(i))
-		}
-	})
-	return out
-}
-
-// SplitCols splits m into the first k columns and the rest.
-func SplitCols(m *Matrix, k int) (*Matrix, *Matrix) {
-	left := NewMatrix(m.Rows, k)
-	right := NewMatrix(m.Rows, m.Cols-k)
-	bitmat.ParallelRows(m.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			copy(left.Row(i), m.Row(i)[:k])
-			copy(right.Row(i), m.Row(i)[k:])
-		}
-	})
-	return left, right
-}
-
 // ReLU applies max(0, x) in place and returns a mask matrix for
 // backprop (1 where input was positive).
 func ReLU(m *Matrix) *Matrix {
@@ -290,27 +262,6 @@ func Accuracy(logits *Matrix, labels []int, idx []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(idx))
-}
-
-// RowNormalize scales each row to unit L1 norm (used for feature
-// preprocessing). Zero rows are left unchanged.
-func RowNormalize(m *Matrix) {
-	bitmat.ParallelRows(m.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := m.Row(i)
-			var sum float32
-			for _, v := range r {
-				sum += float32(math.Abs(float64(v)))
-			}
-			if sum == 0 {
-				continue
-			}
-			inv := 1 / sum
-			for j := range r {
-				r[j] *= inv
-			}
-		}
-	})
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference

@@ -101,19 +101,6 @@ func TestAddScaleBias(t *testing.T) {
 	}
 }
 
-func TestConcatSplit(t *testing.T) {
-	a := FromData(2, 2, []float32{1, 2, 3, 4})
-	b := FromData(2, 1, []float32{9, 10})
-	c := ConcatCols(a, b)
-	if c.Cols != 3 || c.At(0, 2) != 9 || c.At(1, 1) != 4 {
-		t.Error("ConcatCols wrong")
-	}
-	l, r := SplitCols(c, 2)
-	if MaxAbsDiff(l, a) != 0 || MaxAbsDiff(r, b) != 0 {
-		t.Error("SplitCols does not invert ConcatCols")
-	}
-}
-
 func TestReLUAndMask(t *testing.T) {
 	m := FromData(1, 4, []float32{-1, 2, 0, 3})
 	mask := ReLU(m)
@@ -189,17 +176,6 @@ func TestArgmaxAccuracy(t *testing.T) {
 	}
 	if Accuracy(logits, labels, nil) != 0 {
 		t.Error("empty idx accuracy should be 0")
-	}
-}
-
-func TestRowNormalize(t *testing.T) {
-	m := FromData(2, 2, []float32{2, 2, 0, 0})
-	RowNormalize(m)
-	if !almostEqual(m.At(0, 0), 0.5, 1e-6) {
-		t.Errorf("normalized = %v", m.At(0, 0))
-	}
-	if m.At(1, 0) != 0 {
-		t.Error("zero row changed")
 	}
 }
 

@@ -279,6 +279,46 @@ func TestLoopbackWorkerProtocol(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsMalformedArgs calls the service methods directly:
+// net/rpc does not recover a panic in a service method, so a malformed
+// argument must come back as an error, never a panic that kills the
+// worker process.
+func TestWorkerRejectsMalformedArgs(t *testing.T) {
+	g := graph.Grid2D(2, 2)
+	enc, err := shard.EncodeGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{Workers: 1})
+	load := func(rows, cols int, data []float32) error {
+		args := &LoadArgs{
+			GraphShard: enc, GraphSum: shard.ChecksumBytes(enc),
+			BRows: rows, BCols: cols, BData: data, BSum: resil.Checksum(data),
+		}
+		return w.Load(args, &LoadReply{})
+	}
+	// 4 * (2^62 + 1) wraps to 4: a multiplying shape check accepts it.
+	for _, cols := range []int{1<<62 + 1, -1} {
+		if err := load(4, cols, make([]float32, 4)); err == nil {
+			t.Errorf("BCols=%d with 4 values accepted", cols)
+		}
+	}
+	b := make([]float32, 8)
+	if err := load(4, 2, b); err != nil {
+		t.Fatal(err)
+	}
+	p := pattern.NM(2, 4)
+	for _, part := range [][]int{{0, 4}, {-1, 1}, {0, 1, 1}} {
+		args := &ComputeArgs{
+			Part: part, V: p.V, N: p.N, M: p.M,
+			GraphSum: shard.ChecksumBytes(enc), BSum: resil.Checksum(b),
+		}
+		if err := w.Compute(args, &ComputeReply{}); err == nil {
+			t.Errorf("partition %v accepted", part)
+		}
+	}
+}
+
 // TestLoopbackDistributedMatches: the full coordinator path over
 // loopback workers (the oracle configuration) matches in-process
 // bits. Cheap enough to run under -short and race.

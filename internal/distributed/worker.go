@@ -62,7 +62,7 @@ func (w *Worker) Load(args *LoadArgs, reply *LoadReply) error {
 	if err != nil {
 		return err
 	}
-	if args.BRows != g.N() || len(args.BData) != args.BRows*args.BCols {
+	if args.BRows != g.N() || !shapeHolds(args.BRows, args.BCols, len(args.BData)) {
 		return fmt.Errorf("distributed: B is %dx%d (%d values) against graph n=%d",
 			args.BRows, args.BCols, len(args.BData), g.N())
 	}
@@ -112,6 +112,9 @@ func (w *Worker) Compute(args *ComputeArgs, reply *ComputeReply) error {
 		Stage2MaxIter: args.Opt.Stage2MaxIter,
 		Workers:       workersOrSerial(args.Opt.Workers, w.cfg.Workers),
 	}
+	if err := checkPart(args.Part, g.N()); err != nil {
+		return err
+	}
 	out, err := computePartition(g, b, args.Part, p, opt)
 	if err != nil {
 		return err
@@ -120,6 +123,36 @@ func (w *Worker) Compute(args *ComputeArgs, reply *ComputeReply) error {
 	reply.Cols = b.Cols
 	reply.Data = out.localC.Data
 	reply.Checksum = resil.Checksum(reply.Data)
+	return nil
+}
+
+// shapeHolds reports whether values floats fill a rows x cols matrix.
+// It divides rather than multiplies: a product of wire-supplied sizes
+// can overflow and match a short payload.
+func shapeHolds(rows, cols, values int) bool {
+	if rows < 0 || cols < 0 {
+		return false
+	}
+	if rows == 0 {
+		return values == 0
+	}
+	return values%rows == 0 && values/rows == cols
+}
+
+// checkPart rejects a partition naming a vertex outside [0, n) or the
+// same vertex twice; either would panic or corrupt the induced
+// subgraph, and net/rpc does not recover a service method's panic.
+func checkPart(part []int, n int) error {
+	seen := make([]bool, n)
+	for _, v := range part {
+		if v < 0 || v >= n {
+			return fmt.Errorf("distributed: partition vertex %d outside [0, %d)", v, n)
+		}
+		if seen[v] {
+			return fmt.Errorf("distributed: partition names vertex %d twice", v)
+		}
+		seen[v] = true
+	}
 	return nil
 }
 

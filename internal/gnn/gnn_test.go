@@ -259,41 +259,3 @@ func TestBuildUnknownKind(t *testing.T) {
 		t.Error("want error for unknown kind")
 	}
 }
-
-func TestPlanetoidSplit(t *testing.T) {
-	labels := make([]int, 300)
-	for i := range labels {
-		labels[i] = i % 3
-	}
-	s := PlanetoidSplit(labels, 3, 20, 50, 100, 1)
-	if len(s.Train) != 60 {
-		t.Errorf("train = %d, want 60", len(s.Train))
-	}
-	counts := map[int]int{}
-	seen := map[int]bool{}
-	for _, i := range s.Train {
-		counts[labels[i]]++
-		seen[i] = true
-	}
-	for c := 0; c < 3; c++ {
-		if counts[c] != 20 {
-			t.Errorf("class %d has %d train nodes", c, counts[c])
-		}
-	}
-	if len(s.Val) != 50 || len(s.Test) != 100 {
-		t.Errorf("val/test = %d/%d", len(s.Val), len(s.Test))
-	}
-	for _, set := range [][]int{s.Val, s.Test} {
-		for _, i := range set {
-			if seen[i] {
-				t.Fatal("index reused across sets")
-			}
-			seen[i] = true
-		}
-	}
-	// Scarce class: only what's available is taken.
-	short := PlanetoidSplit([]int{0, 0, 1}, 2, 5, 0, 0, 1)
-	if len(short.Train) != 3 {
-		t.Errorf("scarce split took %d", len(short.Train))
-	}
-}

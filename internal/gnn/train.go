@@ -42,40 +42,6 @@ func clampCount(v float64, max int) int {
 	return k
 }
 
-// PlanetoidSplit builds the standard transductive split of the
-// Planetoid benchmarks (used by Cora/Citeseer evaluations): perClass
-// training nodes from each class, then numVal validation and numTest
-// test nodes from the remainder.
-func PlanetoidSplit(labels []int, classes, perClass, numVal, numTest int, seed int64) Split {
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(labels))
-	var s Split
-	taken := make([]bool, len(labels))
-	count := make([]int, classes)
-	for _, i := range perm {
-		c := labels[i]
-		if c >= 0 && c < classes && count[c] < perClass {
-			s.Train = append(s.Train, i)
-			count[c]++
-			taken[i] = true
-		}
-	}
-	for _, i := range perm {
-		if taken[i] {
-			continue
-		}
-		switch {
-		case len(s.Val) < numVal:
-			s.Val = append(s.Val, i)
-		case len(s.Test) < numTest:
-			s.Test = append(s.Test, i)
-		default:
-			return s
-		}
-	}
-	return s
-}
-
 // TrainConfig controls the training loop.
 type TrainConfig struct {
 	Epochs int

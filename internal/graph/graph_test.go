@@ -243,20 +243,6 @@ func TestBFS(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g, _ := NewFromEdges(6, [][2]int{{0, 1}, {2, 3}, {3, 4}})
-	comp, num := ConnectedComponents(g)
-	if num != 3 {
-		t.Fatalf("components = %d, want 3", num)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[3] != comp[4] {
-		t.Error("component labels wrong")
-	}
-	if comp[0] == comp[2] || comp[0] == comp[5] {
-		t.Error("distinct components share label")
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	g := Grid2D(5, 5)
 	st := ComputeStats(g, 1)
@@ -285,16 +271,6 @@ func mustGraph(t *testing.T, n int, edges [][2]int) *Graph {
 		t.Fatal(err)
 	}
 	return g
-}
-
-func TestDegreeOrder(t *testing.T) {
-	g := BarabasiAlbert(100, 3, 1)
-	perm := DegreeOrder(g)
-	for i := 1; i < len(perm); i++ {
-		if g.Degree(perm[i-1]) < g.Degree(perm[i]) {
-			t.Fatal("DegreeOrder not descending")
-		}
-	}
 }
 
 func TestMatrixMarketRoundTrip(t *testing.T) {

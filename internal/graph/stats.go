@@ -98,46 +98,3 @@ func EstimateDiameter(g *Graph, sweeps int, seed int64) int {
 	}
 	return int(best)
 }
-
-// ConnectedComponents labels each vertex with a component id and
-// returns the labels and the number of components.
-func ConnectedComponents(g *Graph) ([]int32, int) {
-	comp := make([]int32, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := int32(0)
-	var stack []int32
-	for s := 0; s < g.N(); s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = next
-		stack = append(stack[:0], int32(s))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.Neighbors(int(u)) {
-				if comp[v] < 0 {
-					comp[v] = next
-					stack = append(stack, v)
-				}
-			}
-		}
-		next++
-	}
-	return comp, int(next)
-}
-
-// DegreeOrder returns a permutation sorting vertices by descending
-// degree (a classic coarse reordering baseline).
-func DegreeOrder(g *Graph) []int {
-	perm := make([]int, g.N())
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		return g.Degree(perm[a]) > g.Degree(perm[b])
-	})
-	return perm
-}

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/bitmat"
 	"repro/internal/graph"
 )
 
@@ -210,14 +209,6 @@ func VerifyIsomorphism(g, h *graph.Graph, perm []int) error {
 		}
 	}
 	return nil
-}
-
-// IsValidUndirectedAdjacency reports whether a bit matrix can serve as
-// an undirected graph's adjacency matrix (i.e. is symmetric). Jigsaw
-// column reordering typically fails this check; SOGRE output never
-// does.
-func IsValidUndirectedAdjacency(m *bitmat.Matrix) bool {
-	return m.IsSymmetric()
 }
 
 // WeisfeilerLehmanHash computes a 1-WL color-refinement fingerprint of

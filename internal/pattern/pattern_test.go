@@ -2,7 +2,6 @@ package pattern
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -278,32 +277,4 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("pattern %v does not round-trip: %v %v", p, q, err)
 		}
 	})
-}
-
-func TestVisualize(t *testing.T) {
-	m := mustMatrix(t,
-		"11100000",
-		"11000000",
-		"00000000",
-		"00000000",
-		"00000000",
-		"00000000",
-		"00000000",
-		"00000000",
-	)
-	out := Visualize(m, NM(2, 4))
-	if !strings.Contains(out, "XXX.") {
-		t.Errorf("violating row not marked:\n%s", out)
-	}
-	if !strings.Contains(out, "oo..") {
-		t.Errorf("conforming row not marked:\n%s", out)
-	}
-	if !strings.Contains(out, "PScore=1") {
-		t.Errorf("score line missing:\n%s", out)
-	}
-	// Large matrices summarize.
-	big := bitmat.New(200)
-	if !strings.Contains(Visualize(big, NM(2, 4)), "too large") {
-		t.Error("large matrix should summarize")
-	}
 }

@@ -25,8 +25,6 @@ func TestExtractFeatureRanges(t *testing.T) {
 		t.Errorf("banded locality = %v, want small", f[6])
 	}
 	// Scrambling destroys locality.
-	perm := graph.DegreeOrder(g)
-	_ = perm
 	scrambled := graph.ErdosRenyi(256, 6.0/256, 2)
 	fs := Extract(scrambled)
 	if fs[6] <= f[6] {

@@ -20,7 +20,6 @@ package resil
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -207,22 +206,4 @@ func ParsePlan(s string) (*Plan, error) {
 		return nil, nil
 	}
 	return p, nil
-}
-
-// Sites returns the distinct sites the plan schedules events at, in
-// sorted order.
-func (p *Plan) Sites() []string {
-	if p == nil {
-		return nil
-	}
-	set := map[string]bool{}
-	for _, e := range p.Events {
-		set[e.Site] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -71,11 +71,8 @@ func TestParsePlanDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := p.Events[0]
-	if e.Occurrence != 1 || e.Delay != DefaultStragglerDelay {
+	if e.Site != "s" || e.Occurrence != 1 || e.Delay != DefaultStragglerDelay {
 		t.Errorf("defaults not applied: %+v", e)
-	}
-	if got := p.Sites(); len(got) != 1 || got[0] != "s" {
-		t.Errorf("Sites() = %v", got)
 	}
 }
 

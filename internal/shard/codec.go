@@ -1,26 +1,21 @@
 package shard
 
 // Typed section codecs over the raw container: graphs (CSR
-// adjacency), permutations, V:N:M compressed matrices, and plain CSR
-// matrices. Every decoder is total — payload lengths are validated
-// against the counts a section claims BEFORE any count sizes an
-// allocation, and structural invariants (monotonic row pointers,
-// in-range column ids, bijective permutations, consistent V:N:M
-// metadata) are re-checked on load, so a decoded object is safe to
-// hand to kernels without further vetting.
+// adjacency) and permutations. Every decoder is total — payload
+// lengths are validated against the counts a section claims BEFORE any
+// count sizes an allocation, and structural invariants (monotonic row
+// pointers, in-range column ids, bijective permutations) are
+// re-checked on load, so a decoded object is safe to hand to kernels
+// without further vetting.
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/csr"
 	"repro/internal/graph"
-	"repro/internal/pattern"
-	"repro/internal/venom"
 )
 
-// graphFlagWeighted marks a graph/CSR section carrying a weights
-// array.
+// graphFlagWeighted marks a graph section carrying a weights array.
 const graphFlagWeighted = 1
 
 // -- payload builders --
@@ -29,11 +24,6 @@ const graphFlagWeighted = 1
 func (w *Writer) AddGraph(g *graph.Graph) error {
 	rowPtr, colIdx, weights := g.CSR()
 	return w.AddRaw(TagGraph, encodeCSRPayload(g.N(), rowPtr, colIdx, weights))
-}
-
-// AddCSR appends a csr.Matrix as a "csrm" section.
-func (w *Writer) AddCSR(m *csr.Matrix) error {
-	return w.AddRaw(TagCSR, encodeCSRPayload(m.N, m.RowPtr, m.ColIdx, m.Val))
 }
 
 func encodeCSRPayload(n int, rowPtr, colIdx []int32, val []float32) []byte {
@@ -67,30 +57,6 @@ func (w *Writer) AddPerm(perm []int) error {
 	return w.AddRaw(TagPerm, buf)
 }
 
-// AddVNM appends a V:N:M compressed matrix as a "vnm" section.
-func (w *Writer) AddVNM(m *venom.Matrix) error {
-	nb := m.NumBlocks()
-	vpb := m.ValuesPerBlock()
-	size := 64 + 4*len(m.BlockRowPtr) + 4*len(m.BlockSeg) +
-		4*len(m.BlockCols) + 4*len(m.Values) + len(m.Meta)
-	buf := make([]byte, size)
-	putU64(buf, uint64(m.N))
-	putU64(buf[8:], uint64(m.P.V))
-	putU64(buf[16:], uint64(m.P.N))
-	putU64(buf[24:], uint64(m.P.M))
-	putU64(buf[32:], uint64(m.K))
-	putU64(buf[40:], uint64(nb))
-	putU64(buf[48:], uint64(len(m.BlockRowPtr)))
-	putU64(buf[56:], uint64(vpb))
-	off := 64
-	off = putI32s(buf, off, m.BlockRowPtr)
-	off = putI32s(buf, off, m.BlockSeg)
-	off = putI32s(buf, off, m.BlockCols)
-	off = putF32s(buf, off, m.Values)
-	copy(buf[off:], m.Meta)
-	return w.AddRaw(TagVNM, buf)
-}
-
 // -- typed loaders --
 
 // Graph decodes the idx-th "graph" section and re-validates its CSR
@@ -100,7 +66,7 @@ func (f *File) Graph(idx int) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, rowPtr, colIdx, val, err := decodeCSRPayload(buf, TagGraph)
+	n, rowPtr, colIdx, val, err := decodeCSRPayload(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -111,35 +77,15 @@ func (f *File) Graph(idx int) (*graph.Graph, error) {
 	return g, nil
 }
 
-// CSR decodes the idx-th "csrm" section. An unweighted payload gets
-// unit values, matching csr.FromGraph semantics.
-func (f *File) CSR(idx int) (*csr.Matrix, error) {
-	buf, err := f.Raw(TagCSR, idx)
-	if err != nil {
-		return nil, err
-	}
-	n, rowPtr, colIdx, val, err := decodeCSRPayload(buf, TagCSR)
-	if err != nil {
-		return nil, err
-	}
-	if val == nil {
-		val = make([]float32, len(colIdx))
-		for i := range val {
-			val[i] = 1
-		}
-	}
-	return &csr.Matrix{N: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}, nil
-}
-
-func decodeCSRPayload(buf []byte, tag string) (n int, rowPtr, colIdx []int32, val []float32, err error) {
+func decodeCSRPayload(buf []byte) (n int, rowPtr, colIdx []int32, val []float32, err error) {
 	if len(buf) < 24 {
-		return 0, nil, nil, nil, fmt.Errorf("%w: %q payload %d bytes", ErrCorrupt, tag, len(buf))
+		return 0, nil, nil, nil, fmt.Errorf("%w: graph payload %d bytes", ErrCorrupt, len(buf))
 	}
 	n64 := getU64(buf)
 	nnz64 := getU64(buf[8:])
 	flags := getU64(buf[16:])
 	if n64 > math.MaxInt32 || nnz64 > math.MaxInt32 {
-		return 0, nil, nil, nil, fmt.Errorf("%w: %q claims n=%d nnz=%d past int32", ErrCorrupt, tag, n64, nnz64)
+		return 0, nil, nil, nil, fmt.Errorf("%w: graph claims n=%d nnz=%d past int32", ErrCorrupt, n64, nnz64)
 	}
 	n = int(n64)
 	nnz := int(nnz64)
@@ -148,8 +94,8 @@ func decodeCSRPayload(buf []byte, tag string) (n int, rowPtr, colIdx []int32, va
 		want += 4 * nnz
 	}
 	if len(buf) != want {
-		return 0, nil, nil, nil, fmt.Errorf("%w: %q payload %d bytes, want %d for n=%d nnz=%d",
-			ErrCorrupt, tag, len(buf), want, n, nnz)
+		return 0, nil, nil, nil, fmt.Errorf("%w: graph payload %d bytes, want %d for n=%d nnz=%d",
+			ErrCorrupt, len(buf), want, n, nnz)
 	}
 	off := 24
 	rowPtr, off = getI32s(buf, off, n+1)
@@ -158,17 +104,17 @@ func decodeCSRPayload(buf []byte, tag string) (n int, rowPtr, colIdx []int32, va
 		val, _ = getF32s(buf, off, nnz)
 	}
 	if rowPtr[0] != 0 || int(rowPtr[n]) != nnz {
-		return 0, nil, nil, nil, fmt.Errorf("%w: %q rowPtr ends [%d..%d], want [0..%d]",
-			ErrCorrupt, tag, rowPtr[0], rowPtr[n], nnz)
+		return 0, nil, nil, nil, fmt.Errorf("%w: graph rowPtr ends [%d..%d], want [0..%d]",
+			ErrCorrupt, rowPtr[0], rowPtr[n], nnz)
 	}
 	for i := 0; i < n; i++ {
 		if rowPtr[i] > rowPtr[i+1] {
-			return 0, nil, nil, nil, fmt.Errorf("%w: %q rowPtr not monotonic at %d", ErrCorrupt, tag, i)
+			return 0, nil, nil, nil, fmt.Errorf("%w: graph rowPtr not monotonic at %d", ErrCorrupt, i)
 		}
 	}
 	for i, c := range colIdx {
 		if c < 0 || int(c) >= n {
-			return 0, nil, nil, nil, fmt.Errorf("%w: %q column %d out of range at %d", ErrCorrupt, tag, c, i)
+			return 0, nil, nil, nil, fmt.Errorf("%w: graph column %d out of range at %d", ErrCorrupt, c, i)
 		}
 	}
 	return n, rowPtr, colIdx, val, nil
@@ -202,73 +148,6 @@ func (f *File) Perm(idx int) ([]int, error) {
 		perm[i] = int(p)
 	}
 	return perm, nil
-}
-
-// VNM decodes the idx-th "vnm" section, re-checks structural
-// consistency, and runs venom.ValidateMeta so the result is kernel-safe.
-func (f *File) VNM(idx int) (*venom.Matrix, error) {
-	buf, err := f.Raw(TagVNM, idx)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) < 64 {
-		return nil, fmt.Errorf("%w: vnm payload %d bytes", ErrCorrupt, len(buf))
-	}
-	n64, v64, nn64, m64 := getU64(buf), getU64(buf[8:]), getU64(buf[16:]), getU64(buf[24:])
-	k64, nb64, brp64, vpb64 := getU64(buf[32:]), getU64(buf[40:]), getU64(buf[48:]), getU64(buf[56:])
-	const lim = math.MaxInt32
-	if n64 > lim || v64 > lim || nn64 > lim || m64 > lim || k64 > lim || nb64 > lim || brp64 > lim || vpb64 > lim {
-		return nil, fmt.Errorf("%w: vnm header fields past int32", ErrCorrupt)
-	}
-	n, v, nn, mm := int(n64), int(v64), int(nn64), int(m64)
-	k, nb, brp, vpb := int(k64), int(nb64), int(brp64), int(vpb64)
-	if v <= 0 || nn <= 0 || mm <= 0 || k <= 0 || n < 0 {
-		return nil, fmt.Errorf("%w: vnm pattern %d:%d:%d K=%d n=%d", ErrCorrupt, v, nn, mm, k, n)
-	}
-	if vpb != v*nn {
-		return nil, fmt.Errorf("%w: vnm values-per-block %d, want V*N=%d", ErrCorrupt, vpb, v*nn)
-	}
-	nBlockRows := (n + v - 1) / v
-	if brp != nBlockRows+1 {
-		return nil, fmt.Errorf("%w: vnm BlockRowPtr length %d, want %d", ErrCorrupt, brp, nBlockRows+1)
-	}
-	// Bound the claimed counts by the payload actually present before
-	// allocating any array from them.
-	want := 64 + 4*brp + 4*nb + 4*nb*k + 4*nb*vpb + nb*vpb
-	if len(buf) != want {
-		return nil, fmt.Errorf("%w: vnm payload %d bytes, want %d for %d blocks", ErrCorrupt, len(buf), want, nb)
-	}
-	off := 64
-	m := &venom.Matrix{N: n, P: pattern.VNM{V: v, N: nn, M: mm}, K: k}
-	m.BlockRowPtr, off = getI32s(buf, off, brp)
-	m.BlockSeg, off = getI32s(buf, off, nb)
-	m.BlockCols, off = getI32s(buf, off, nb*k)
-	m.Values, off = getF32s(buf, off, nb*vpb)
-	m.Meta = append([]uint8(nil), buf[off:]...)
-	if m.BlockRowPtr[0] != 0 || int(m.BlockRowPtr[nBlockRows]) != nb {
-		return nil, fmt.Errorf("%w: vnm BlockRowPtr ends [%d..%d], want [0..%d]",
-			ErrCorrupt, m.BlockRowPtr[0], m.BlockRowPtr[nBlockRows], nb)
-	}
-	nSegs := (n + mm - 1) / mm
-	for i := 0; i < nBlockRows; i++ {
-		if m.BlockRowPtr[i] > m.BlockRowPtr[i+1] {
-			return nil, fmt.Errorf("%w: vnm BlockRowPtr not monotonic at %d", ErrCorrupt, i)
-		}
-	}
-	for i, s := range m.BlockSeg {
-		if s < 0 || int(s) >= nSegs {
-			return nil, fmt.Errorf("%w: vnm block %d segment %d out of [0,%d)", ErrCorrupt, i, s, nSegs)
-		}
-	}
-	for i, c := range m.BlockCols {
-		if int(c) >= n || c < -1 {
-			return nil, fmt.Errorf("%w: vnm BlockCols[%d]=%d out of range", ErrCorrupt, i, c)
-		}
-	}
-	if err := m.ValidateMeta(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return m, nil
 }
 
 // -- single-object file conveniences --

@@ -1,6 +1,6 @@
 // Package shard implements sogre-shard/v1, the versioned binary
-// serialization for graphs, reordering permutations, and V:N:M
-// compressed shard payloads — the interchange format the
+// serialization for graphs and reordering permutations (plus raw
+// sections such as snapshot metadata) — the interchange format the
 // multi-process distributed layer moves over the wire, the serving
 // engine snapshots warmed state into, and the bench suite loads
 // million-node fixtures from in milliseconds instead of regenerating
@@ -60,8 +60,6 @@ const (
 const (
 	TagGraph = "graph"
 	TagPerm  = "perm"
-	TagVNM   = "vnm"
-	TagCSR   = "csrm"
 	TagMeta  = "meta"
 )
 

@@ -6,31 +6,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/csr"
 	"repro/internal/graph"
-	"repro/internal/pattern"
-	"repro/internal/venom"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	return graph.RMAT(8, 8, 0.57, 0.19, 0.19, 42)
-}
-
-func testVNM(t *testing.T) *venom.Matrix {
-	t.Helper()
-	g := graph.RMAT(6, 6, 0.57, 0.19, 0.19, 7)
-	a := csr.FromGraph(g)
-	p := pattern.New(8, 2, 8)
-	pruned, _, err := venom.PruneToConform(a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := venom.Compress(pruned, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 func graphsIdentical(t *testing.T, a, b *graph.Graph) {
@@ -61,12 +42,10 @@ func graphsIdentical(t *testing.T, a, b *graph.Graph) {
 }
 
 // TestRoundTripAllSections pins the full multi-section round trip:
-// graph + perm + VNM + CSR + raw blob in one file, each decoded back
-// bit-identical through the seekable reader.
+// graph + perm + raw blob in one file, each decoded back bit-identical
+// through the seekable reader.
 func TestRoundTripAllSections(t *testing.T) {
 	g := testGraph(t)
-	m := testVNM(t)
-	a := csr.FromGraph(g)
 	perm := make([]int, g.N())
 	for i := range perm {
 		perm[i] = (i*7 + 3) % len(perm)
@@ -78,12 +57,6 @@ func TestRoundTripAllSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.AddPerm(perm); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddVNM(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddCSR(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.AddRaw(TagMeta, []byte(`{"source":"test"}`)); err != nil {
@@ -118,30 +91,6 @@ func TestRoundTripAllSections(t *testing.T) {
 		if p2[i] != perm[i] {
 			t.Fatalf("perm[%d]: %d != %d", i, p2[i], perm[i])
 		}
-	}
-	m2, err := f.VNM(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.N != m.N || m2.P != m.P || m2.K != m.K || m2.NumBlocks() != m.NumBlocks() {
-		t.Fatalf("vnm shape differs: %+v vs %+v", m2, m)
-	}
-	for i := range m.Values {
-		if m2.Values[i] != m.Values[i] {
-			t.Fatalf("vnm values differ at %d", i)
-		}
-	}
-	for i := range m.Meta {
-		if m2.Meta[i] != m.Meta[i] {
-			t.Fatalf("vnm meta differs at %d", i)
-		}
-	}
-	a2, err := f.CSR(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2.N != a.N || a2.NNZ() != a.NNZ() {
-		t.Fatalf("csr shape differs")
 	}
 	raw, err := f.Raw(TagMeta, 0)
 	if err != nil || string(raw) != `{"source":"test"}` {
@@ -260,9 +209,6 @@ func TestCorruptStructuredPayloads(t *testing.T) {
 	if err := w.AddPerm([]int{2, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddVNM(testVNM(t)); err != nil {
-		t.Fatal(err)
-	}
 	enc := w.Encode()
 	f, err := Decode(enc)
 	if err != nil {
@@ -291,16 +237,6 @@ func TestCorruptStructuredPayloads(t *testing.T) {
 	}
 	if _, err := bf.Graph(0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("out-of-range column: %v", err)
-	}
-
-	// VNM claiming a block count its payload cannot hold.
-	bad = reseal(enc, f, TagVNM, func(p []byte) { putU64(p[40:], getU64(p[40:])+1) })
-	bf, err = Decode(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bf.VNM(0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("inflated block count: %v", err)
 	}
 }
 

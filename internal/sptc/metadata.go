@@ -1,43 +1,6 @@
 package sptc
 
-import "fmt"
-
-// The hardware's sparse-matrix storage metadata (the paper's reference
-// [3], PTX "warp-level sparse matrix storage") packs the 2-bit
-// column selectors 16 to a 32-bit word: selector s of stored element e
-// occupies bits [2e, 2e+2). venom.Matrix keeps one selector per byte
-// for clarity; these helpers convert to and from the packed wire
-// format the mma.sp instruction actually consumes, so the layout is
-// exercised end to end.
-
-// PackMeta packs 2-bit selectors (one per byte, values 0..3) into
-// 32-bit metadata words, 16 selectors per word, little-end first —
-// the hardware layout. The tail word is zero-padded.
-func PackMeta(sel []uint8) ([]uint32, error) {
-	words := make([]uint32, (len(sel)+15)/16)
-	for i, s := range sel {
-		if s > 3 {
-			return nil, fmt.Errorf("sptc: selector %d out of 2-bit range at %d", s, i)
-		}
-		words[i/16] |= uint32(s) << uint((i%16)*2)
-	}
-	return words, nil
-}
-
-// UnpackMeta expands packed metadata words back to one selector per
-// byte. count is the number of valid selectors (trailing padding is
-// dropped).
-func UnpackMeta(words []uint32, count int) ([]uint8, error) {
-	if count < 0 || count > len(words)*16 {
-		return nil, fmt.Errorf("sptc: count %d out of range for %d words", count, len(words))
-	}
-	out := make([]uint8, count)
-	for i := range out {
-		out[i] = uint8(words[i/16] >> uint((i%16)*2) & 0x3)
-	}
-	return out, nil
-}
-
 // MetaWordsFor returns how many 32-bit metadata words an operand with
-// the given packed-slot count occupies on hardware.
+// the given packed-slot count occupies on hardware: the mma.sp sparse
+// storage format packs 2-bit column selectors 16 to a word.
 func MetaWordsFor(slots int) int { return (slots + 15) / 16 }

@@ -1,19 +1,16 @@
-// Package sptc models GPU Sparse Tensor Cores: the mma.sp instruction
-// semantics (m16n8k32 with 2:4 metadata, the shape the paper's kernels
+// Package sptc models GPU Sparse Tensor Cores: the mma.sp fragment
+// geometry (m16n8k32 with 2:4 metadata, the shape the paper's kernels
 // use), and a calibrated cycle-cost model for the three execution
 // engines the paper compares — CUDA-core CSR SpMM (cuSPARSE baseline),
 // dense tensor cores, and sparse tensor cores over V:N:M compressed
 // operands.
 //
 // This package is the repository's substitution for A100 hardware
-// (DESIGN.md §1): the functional simulator validates that compressed
-// operands have exactly the layout the hardware consumes, and the cost
-// model reproduces the relative throughputs that drive every speedup
-// table in the paper. Constants are normalized so that one CUDA-core
-// FMA on a regularly-accessed operand costs 1.0 cycles.
+// (DESIGN.md §1): the cost model reproduces the relative throughputs
+// that drive every speedup table in the paper. Constants are
+// normalized so that one CUDA-core FMA on a regularly-accessed operand
+// costs 1.0 cycles.
 package sptc
-
-import "fmt"
 
 // Fragment dimensions of mma.sp.sync.aligned.m16n8k32, the default
 // shape of the paper's kernels (Section 4.5).
@@ -22,55 +19,6 @@ const (
 	MmaN = 8  // columns of B and D
 	MmaK = 32 // logical inner dimension (2:4 sparse in A)
 )
-
-// MMASp executes one mma.sp m16n8k32 fragment: D = Asp x B + C.
-//
-//   - aVals holds 16x16 stored values (each row keeps 2 of every 4
-//     logical columns, so 32 logical -> 16 stored), row-major.
-//   - aMeta holds the 2-bit selector for each stored value: the
-//     position of the value within its 4-column group, exactly the
-//     hardware's sparse-matrix storage metadata. Stored values come in
-//     pairs per group: slots 2g and 2g+1 belong to group g.
-//   - b is 32x8 dense, row-major; c and the result are 16x8.
-//
-// Returns an error if any metadata selector is out of range — the
-// validation real hardware performs when loading sparse fragments.
-func MMASp(aVals []float32, aMeta []uint8, b, c []float32) ([]float32, error) {
-	const storedPerRow = MmaK / 2 // 2:4 keeps half
-	if len(aVals) != MmaM*storedPerRow || len(aMeta) != MmaM*storedPerRow {
-		return nil, fmt.Errorf("sptc: A fragment size %d/%d, want %d", len(aVals), len(aMeta), MmaM*storedPerRow)
-	}
-	if len(b) != MmaK*MmaN {
-		return nil, fmt.Errorf("sptc: B fragment size %d, want %d", len(b), MmaK*MmaN)
-	}
-	if c != nil && len(c) != MmaM*MmaN {
-		return nil, fmt.Errorf("sptc: C fragment size %d, want %d", len(c), MmaM*MmaN)
-	}
-	d := make([]float32, MmaM*MmaN)
-	if c != nil {
-		copy(d, c)
-	}
-	for r := 0; r < MmaM; r++ {
-		for s := 0; s < storedPerRow; s++ {
-			v := aVals[r*storedPerRow+s]
-			sel := aMeta[r*storedPerRow+s]
-			if sel > 3 {
-				return nil, fmt.Errorf("sptc: metadata selector %d out of range at row %d slot %d", sel, r, s)
-			}
-			if v == 0 {
-				continue
-			}
-			group := s / 2
-			col := group*4 + int(sel)
-			brow := b[col*MmaN : (col+1)*MmaN]
-			drow := d[r*MmaN : (r+1)*MmaN]
-			for j := 0; j < MmaN; j++ {
-				drow[j] += v * brow[j]
-			}
-		}
-	}
-	return d, nil
-}
 
 // CostModel holds normalized cycle costs for the execution engines.
 // All values are in units of one CUDA-core FMA on cached operands.

@@ -1,102 +1,12 @@
 package sptc
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/csr"
 	"repro/internal/pattern"
 	"repro/internal/venom"
 )
-
-func TestMMASpMatchesDenseReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const stored = MmaK / 2
-	// Build a random 2:4 sparse A fragment: per 4-group pick 2 distinct
-	// positions.
-	aVals := make([]float32, MmaM*stored)
-	aMeta := make([]uint8, MmaM*stored)
-	aDense := make([]float32, MmaM*MmaK)
-	for r := 0; r < MmaM; r++ {
-		for g := 0; g < MmaK/4; g++ {
-			p1 := rng.Intn(4)
-			p2 := (p1 + 1 + rng.Intn(3)) % 4
-			if p2 < p1 {
-				p1, p2 = p2, p1
-			}
-			v1, v2 := rng.Float32(), rng.Float32()
-			aVals[r*stored+2*g] = v1
-			aMeta[r*stored+2*g] = uint8(p1)
-			aVals[r*stored+2*g+1] = v2
-			aMeta[r*stored+2*g+1] = uint8(p2)
-			aDense[r*MmaK+g*4+p1] = v1
-			aDense[r*MmaK+g*4+p2] = v2
-		}
-	}
-	b := make([]float32, MmaK*MmaN)
-	for i := range b {
-		b[i] = rng.Float32()
-	}
-	c := make([]float32, MmaM*MmaN)
-	for i := range c {
-		c[i] = rng.Float32()
-	}
-	got, err := MMASp(aVals, aMeta, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < MmaM; r++ {
-		for j := 0; j < MmaN; j++ {
-			want := c[r*MmaN+j]
-			for k := 0; k < MmaK; k++ {
-				want += aDense[r*MmaK+k] * b[k*MmaN+j]
-			}
-			if d := math.Abs(float64(got[r*MmaN+j] - want)); d > 1e-4 {
-				t.Fatalf("D[%d][%d] = %v, want %v (diff %v)", r, j, got[r*MmaN+j], want, d)
-			}
-		}
-	}
-}
-
-func TestMMASpNilC(t *testing.T) {
-	const stored = MmaK / 2
-	aVals := make([]float32, MmaM*stored)
-	aMeta := make([]uint8, MmaM*stored)
-	aVals[0] = 2
-	aMeta[0] = 1 // row 0, group 0, position 1 -> logical column 1
-	b := make([]float32, MmaK*MmaN)
-	b[1*MmaN+3] = 5 // B[1][3]
-	d, err := MMASp(aVals, aMeta, b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d[0*MmaN+3] != 10 {
-		t.Errorf("D[0][3] = %v, want 10", d[0*MmaN+3])
-	}
-}
-
-func TestMMASpValidation(t *testing.T) {
-	const stored = MmaK / 2
-	good := make([]float32, MmaM*stored)
-	goodMeta := make([]uint8, MmaM*stored)
-	b := make([]float32, MmaK*MmaN)
-	if _, err := MMASp(good[:10], goodMeta[:10], b, nil); err == nil {
-		t.Error("want error for short A fragment")
-	}
-	if _, err := MMASp(good, goodMeta, b[:5], nil); err == nil {
-		t.Error("want error for short B fragment")
-	}
-	if _, err := MMASp(good, goodMeta, b, make([]float32, 3)); err == nil {
-		t.Error("want error for short C fragment")
-	}
-	bad := make([]uint8, MmaM*stored)
-	bad[0] = 4
-	good[0] = 1 // force the selector to be inspected
-	if _, err := MMASp(good, bad, b, nil); err == nil {
-		t.Error("want error for out-of-range selector")
-	}
-}
 
 func TestCostModelOrdering(t *testing.T) {
 	c := DefaultCostModel()
@@ -207,118 +117,5 @@ func TestFragmentCountLargeV(t *testing.T) {
 	}
 	if got := FragmentCount(cm, 16); got != 2 {
 		t.Errorf("FragmentCount = %d, want 2 (one 32-row block = two 16-row fragments)", got)
-	}
-}
-
-func BenchmarkMMASp(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const stored = MmaK / 2
-	aVals := make([]float32, MmaM*stored)
-	aMeta := make([]uint8, MmaM*stored)
-	for i := range aVals {
-		aVals[i] = rng.Float32()
-		aMeta[i] = uint8(rng.Intn(4))
-	}
-	bf := make([]float32, MmaK*MmaN)
-	for i := range bf {
-		bf[i] = rng.Float32()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MMASp(aVals, aMeta, bf, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestPackUnpackMeta(t *testing.T) {
-	sel := []uint8{0, 1, 2, 3, 3, 2, 1, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 1} // 18 selectors -> 2 words
-	words, err := PackMeta(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(words) != MetaWordsFor(len(sel)) || len(words) != 2 {
-		t.Fatalf("packed into %d words", len(words))
-	}
-	// Spot-check hardware layout: selector 1 sits at bits [2,4).
-	if got := words[0] >> 2 & 0x3; got != 1 {
-		t.Errorf("selector 1 packed as %d", got)
-	}
-	back, err := UnpackMeta(words, len(sel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sel {
-		if back[i] != sel[i] {
-			t.Fatalf("selector %d: %d != %d", i, back[i], sel[i])
-		}
-	}
-}
-
-func TestPackMetaRejectsWideSelectors(t *testing.T) {
-	if _, err := PackMeta([]uint8{4}); err == nil {
-		t.Error("want error for 3-bit selector")
-	}
-	if _, err := UnpackMeta([]uint32{0}, 17); err == nil {
-		t.Error("want error for count beyond words")
-	}
-	if _, err := UnpackMeta(nil, -1); err == nil {
-		t.Error("want error for negative count")
-	}
-}
-
-func TestPackMetaRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(100)
-		sel := make([]uint8, n)
-		for i := range sel {
-			sel[i] = uint8(rng.Intn(4))
-		}
-		words, err := PackMeta(sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := UnpackMeta(words, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range sel {
-			if back[i] != sel[i] {
-				t.Fatalf("trial %d: mismatch at %d", trial, i)
-			}
-		}
-	}
-}
-
-func TestVenomMetaPacksLosslessly(t *testing.T) {
-	// The venom compressed metadata must survive the hardware packing.
-	var rows, cols []int32
-	var vals []float32
-	for i := 0; i < 32; i++ {
-		rows = append(rows, int32(i))
-		cols = append(cols, int32((i*3)%32))
-		vals = append(vals, 1)
-	}
-	a, err := csr.FromEntries(32, rows, cols, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := venom.Compress(a, pattern.NM(2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	words, err := PackMeta(cm.Meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnpackMeta(words, len(cm.Meta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cm.Meta {
-		if back[i] != cm.Meta[i] {
-			t.Fatal("metadata corrupted by packing")
-		}
 	}
 }

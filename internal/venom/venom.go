@@ -15,7 +15,6 @@ package venom
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"repro/internal/csr"
@@ -443,27 +442,4 @@ func (m *Matrix) ValidateMeta() error {
 		}
 	}
 	return nil
-}
-
-// DensityInBlocks returns the fraction of packed value slots holding
-// actual nonzeros — the padding waste the SPTC pays on ultra-sparse
-// matrices (the Figure-4 slowdown regime).
-func (m *Matrix) DensityInBlocks() float64 {
-	if len(m.Values) == 0 {
-		return 0
-	}
-	nz := 0
-	for _, v := range m.Values {
-		if v != 0 {
-			nz++
-		}
-	}
-	return float64(nz) / float64(len(m.Values))
-}
-
-// MetaBits returns the metadata storage in bits: ceil(log2 K) bits per
-// packed slot (2 bits for the default K = 4), matching the SPTC index
-// representation.
-func (m *Matrix) MetaBits() int {
-	return len(m.Meta) * bits.Len(uint(m.K-1))
 }

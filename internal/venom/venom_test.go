@@ -270,12 +270,6 @@ func TestCompressedBytesSmallerThanDense(t *testing.T) {
 	if c.CompressedBytes() >= denseBytes {
 		t.Errorf("compressed %d bytes >= dense %d", c.CompressedBytes(), denseBytes)
 	}
-	if c.MetaBits() != len(c.Meta)*2 {
-		t.Errorf("MetaBits = %d, want 2 per slot", c.MetaBits())
-	}
-	if d := c.DensityInBlocks(); d <= 0 || d > 1 {
-		t.Errorf("DensityInBlocks = %v", d)
-	}
 }
 
 func BenchmarkCompress(b *testing.B) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: vet, gofmt, build, perfbench vet, race-enabled tests, fuzz smoke,
-# coverage floor.
+# CI gate: vet, gofmt, build, perfbench vet, race-enabled tests, the
+# sogre-verify self-check, fuzz smoke, coverage floor.
 #
 # Usage: scripts/ci.sh [fuzztime]
 #   fuzztime   per-target fuzzing budget (default 5s; 0 skips fuzzing)
@@ -56,6 +56,12 @@ GOMAXPROCS=2 go test -race ./internal/sched/ ./internal/spmm/ \
     ./internal/check/ ./internal/gnn/ ./internal/core/ \
     ./internal/distributed/ ./internal/obs/ ./internal/resil/ \
     ./internal/plan/ ./internal/dyn/ ./internal/serve/ ./internal/wal/
+
+echo "== sogre-verify self-check (3 trials) =="
+# The cross-cutting oracles of internal/check over seeded random
+# inputs, driven end to end through the CLI; exits nonzero on any
+# failed check.
+go run ./cmd/sogre-verify -trials 3
 
 if [ "$FUZZTIME" != "0" ]; then
     echo "== fuzz smoke ($FUZZTIME per target) =="
